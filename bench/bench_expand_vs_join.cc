@@ -32,7 +32,8 @@ GraphPtr MakeSocial(int64_t people) {
 void BM_SelectiveExpand(benchmark::State& state, bool use_join) {
   GraphPtr g = MakeSocial(state.range(0));
   EngineOptions opts;
-  opts.use_join_expand = use_join;
+  opts.expand_strategy =
+      use_join ? ExpandStrategy::kHashJoin : ExpandStrategy::kAdjacency;
   Database db = bench::MakeDatabase(g, opts);
   const char* q =
       "MATCH (p:Person {name: 'P0'})-[:FRIEND]-(f)-[:FRIEND]-(ff) "
@@ -59,7 +60,8 @@ BENCHMARK(BM_ExpandHashJoin)->Arg(1000)->Arg(4000)->Arg(16000);
 void BM_FullScanExpand(benchmark::State& state, bool use_join) {
   GraphPtr g = MakeSocial(state.range(0));
   EngineOptions opts;
-  opts.use_join_expand = use_join;
+  opts.expand_strategy =
+      use_join ? ExpandStrategy::kHashJoin : ExpandStrategy::kAdjacency;
   Database db = bench::MakeDatabase(g, opts);
   const char* q = "MATCH (a:Person)-[:FRIEND]->(b) RETURN count(*) AS c";
   for (auto _ : state) {

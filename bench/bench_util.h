@@ -13,10 +13,10 @@
 namespace gqlite {
 namespace bench {
 
-/// Set by the shared `--no-plan-cache` flag (GQLITE_BENCH_MAIN): disables
-/// plan reuse in every engine built through MakeDatabase, restoring
-/// plan-per-execution behaviour so runs stay comparable with pre-cache
-/// baselines.
+/// Set by the shared `--no-plan-cache` flag (GQLITE_BENCH_MAIN): sets
+/// plan_cache_capacity = 0 in every engine built through MakeDatabase,
+/// restoring plan-per-execution behaviour so runs stay comparable with
+/// pre-cache baselines.
 inline bool g_no_plan_cache = false;
 
 /// Set by the shared `--no-batch` flag: forces batch_size = 1 in every
@@ -70,7 +70,7 @@ inline void ConsumeGqliteBenchFlags(int* argc, char** argv) {
 /// applied. Aborts on failure: benchmarks must not silently measure a
 /// misconfigured engine.
 inline Database MakeEmptyDatabase(EngineOptions opts = {}) {
-  if (g_no_plan_cache) opts.use_plan_cache = false;
+  if (g_no_plan_cache) opts.plan_cache_capacity = 0;
   if (g_no_batch) opts.batch_size = 1;
   if (g_num_threads > 0) opts.num_threads = g_num_threads;
   Result<Database> db = Database::OpenInMemory(opts);
@@ -126,8 +126,9 @@ inline bool CheckTable(const char* experiment, const Table& measured,
 }  // namespace gqlite
 
 /// Drop-in replacement for BENCHMARK_MAIN() that understands the shared
-/// gqlite flags (currently `--no-plan-cache`). Benchmarks built on the
-/// Google Benchmark harness use this instead of BENCHMARK_MAIN().
+/// gqlite flags (`--no-plan-cache`, `--no-batch`, `--threads`).
+/// Benchmarks built on the Google Benchmark harness use this instead of
+/// BENCHMARK_MAIN().
 #define GQLITE_BENCH_MAIN()                                             \
   int main(int argc, char** argv) {                                     \
     ::gqlite::bench::ConsumeGqliteBenchFlags(&argc, argv);              \

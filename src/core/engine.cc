@@ -28,10 +28,10 @@ struct EntryReleaser {
 };
 
 /// Applies the GQLITE_PLAN_MODE override: comma-separated tokens, each
-/// setting the planner mode, the expand strategy or the direction
-/// policy. Strict by the same rule as the numeric overrides — an
-/// unknown token is an error naming the variable, not a silent default
-/// (a misspelled forced-plan token would quietly test nothing).
+/// setting the expand strategy or the direction policy. Strict by the
+/// same rule as the numeric overrides — an unknown token is an error
+/// naming the variable, not a silent default (a misspelled forced-plan
+/// token would quietly test nothing).
 Status ApplyPlanModeEnv(EngineOptions* options) {
   const char* env = std::getenv("GQLITE_PLAN_MODE");
   if (env == nullptr || env[0] == '\0') return Status::OK();
@@ -42,13 +42,7 @@ Status ApplyPlanModeEnv(EngineOptions* options) {
     std::string_view tok = rest.substr(0, comma);
     more = comma != std::string_view::npos;
     if (more) rest = rest.substr(comma + 1);
-    if (tok == "ltr") {
-      options->planner = PlannerOptions::Mode::kLeftToRight;
-    } else if (tok == "greedy") {
-      options->planner = PlannerOptions::Mode::kGreedy;
-    } else if (tok == "dp") {
-      options->planner = PlannerOptions::Mode::kDpStarts;
-    } else if (tok == "adjacency") {
+    if (tok == "adjacency") {
       options->expand_strategy = ExpandStrategy::kAdjacency;
     } else if (tok == "hashjoin") {
       options->expand_strategy = ExpandStrategy::kHashJoin;
@@ -208,8 +202,6 @@ MatchOptions CypherEngine::MakeMatchOptions() const {
 
 PlannerOptions CypherEngine::MakePlannerOptions() const {
   PlannerOptions popts;
-  popts.mode = options_.planner;
-  popts.use_join_expand = options_.use_join_expand;
   popts.expand_strategy = options_.expand_strategy;
   popts.direction_policy = options_.direction_policy;
   popts.batch_size = options_.batch_size;
@@ -222,14 +214,10 @@ std::string CypherEngine::OptionsFingerprint() const {
   // Every option that changes the compiled plan. The unit separator keeps
   // the suffix from colliding with query text.
   std::string f = "\x1f";
-  f += 'p';
-  f += std::to_string(static_cast<int>(options_.planner));
   f += 'm';
   f += std::to_string(static_cast<int>(options_.morphism));
   f += 'v';
   f += std::to_string(options_.max_var_length);
-  f += 'j';
-  f += options_.use_join_expand ? '1' : '0';
   f += 'x';
   f += std::to_string(static_cast<int>(options_.expand_strategy));
   f += 'd';
@@ -411,12 +399,12 @@ Result<PreparedQuery> CypherEngine::Prepare(std::string_view query) {
   // Canonicalize only when a cached plan can actually use it: updating
   // and RETURN GRAPH queries run on the interpreter (where keeping the
   // user's literals also keeps diagnostics in their terms), and with the
-  // cache off the rewrite+unparse would be pure overhead on every
-  // Execute(text) call. A statement prepared while the cache is off
+  // cache off (capacity 0) the rewrite+unparse would be pure overhead on
+  // every Execute(text) call. A statement prepared while the cache is off
   // stays uncached (text_key empty) even if the cache is enabled later.
   bool cacheable = !state->info.updating && !state->has_return_graph &&
                    options_.mode == ExecutionMode::kVolcano &&
-                   options_.use_plan_cache && plan_cache_.capacity() > 0;
+                   plan_cache_.capacity() > 0;
   if (cacheable) {
     state->constants = AutoParameterize(&state->query).extracted;
     state->text_key = NormalizedQueryKey(state->query);
@@ -524,8 +512,7 @@ Result<QueryResult> CypherEngine::RunVolcano(
   ParallelRunStats prun;
   std::string serial_reason;
   RandScope rand(this, session_rand);
-  if (!options_.use_plan_cache || plan_cache_.capacity() == 0 ||
-      prepared->text_key.empty()) {
+  if (plan_cache_.capacity() == 0 || prepared->text_key.empty()) {
     if (pool != nullptr) {
       // RunPlanned may take the parallel runtime internally; sessions
       // take turns on the shared pool.

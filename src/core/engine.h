@@ -33,37 +33,34 @@ enum class ExecutionMode : uint8_t { kInterpreter, kVolcano };
 
 struct EngineOptions {
   ExecutionMode mode = ExecutionMode::kVolcano;
-  PlannerOptions::Mode planner = PlannerOptions::Mode::kGreedy;
   /// Pattern-matching morphism (§8 configurable morphisms).
   Morphism morphism = Morphism::kEdgeIsomorphism;
   /// Cap substituted for ∞ in unbounded variable-length patterns (only
   /// binding under homomorphism; see MatchOptions).
   int64_t max_var_length = 1000000;
-  /// E14 baseline: execute Expand as a relationship-store hash join.
-  bool use_join_expand = false;
   /// Per-hop physical operator for chain expands: kCost compares the
   /// adjacency Expand against the relationship-store hash join per step
   /// on the executing snapshot's statistics; the forced values pin one
-  /// side. The environment variable GQLITE_PLAN_MODE overrides this and
-  /// the two fields around it at engine construction — comma-separated
-  /// tokens from {ltr, greedy, dp} (planner mode), {adjacency, hashjoin,
-  /// cost-expand} (this field) and {force-right, force-left,
-  /// cost-direction} (direction_policy), e.g.
-  /// `GQLITE_PLAN_MODE=dp,hashjoin,force-left`. The differential
-  /// harness uses it to run both sides of every cost-based choice; a
-  /// garbage token surfaces as an error from Prepare/Execute.
+  /// side (kHashJoin is the one way to force a hash join). The
+  /// environment variable GQLITE_PLAN_MODE overrides this and
+  /// direction_policy at engine construction — comma-separated tokens
+  /// from {adjacency, hashjoin, cost-expand} (this field) and
+  /// {force-right, force-left, cost-direction} (direction_policy), e.g.
+  /// `GQLITE_PLAN_MODE=hashjoin,force-left`. The differential harness
+  /// uses it to run both sides of every cost-based choice; a garbage
+  /// token surfaces as an error from Prepare/Execute.
   ExpandStrategy expand_strategy = ExpandStrategy::kCost;
-  /// Chain anchor/traversal-direction choice: kCost searches by
-  /// estimated cost, the forced values pin an end (see expand_strategy
-  /// for the GQLITE_PLAN_MODE override).
+  /// Chain anchor/traversal-direction choice: kCost picks by estimated
+  /// cost, the forced values pin an end (see expand_strategy for the
+  /// GQLITE_PLAN_MODE override). kAdjacency + kForceRight is the naive
+  /// left-to-right baseline.
   DirectionPolicy direction_policy = DirectionPolicy::kCost;
   /// Seed for rand() (deterministic runs).
   uint64_t rand_seed = 0x5EEDC0FFEEULL;
-  /// Reuse compiled plans across executions of read queries that differ
-  /// only in literal constants (auto-parameterization). Disable to get
-  /// plan-per-query behavior, e.g. when benchmarking the planner itself.
-  bool use_plan_cache = true;
-  /// Bound on cached plans (LRU beyond it). 0 disables caching.
+  /// Bound on cached plans (LRU beyond it). Cached plans are reused
+  /// across executions of read queries that differ only in literal
+  /// constants (auto-parameterization). 0 disables caching: plan-per-query
+  /// behavior, e.g. when benchmarking the planner itself.
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Morsel capacity of the batched Volcano runtime: how many rows each
   /// NextBatch call moves between operators. 1 restores tuple-at-a-time
@@ -99,7 +96,8 @@ class PreparedQuery {
   bool updating() const { return state_ != nullptr && state_->info.updating; }
   /// The normalized (auto-parameterized) query text — the structural part
   /// of the plan-cache key. Empty for statements that bypass the cache
-  /// (updating queries, RETURN GRAPH, or prepared while caching was off).
+  /// (updating queries, RETURN GRAPH, or prepared while
+  /// plan_cache_capacity was 0).
   const std::string& normalized_text() const {
     static const std::string kEmpty;
     return state_ ? state_->text_key : kEmpty;

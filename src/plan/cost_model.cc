@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace gqlite {
 
@@ -19,13 +18,6 @@ constexpr double kSaturatedPaths = 1e15;
 /// Per-hop iteration cap for very long explicit ranges; the geometric
 /// tail beyond it is summed in closed form.
 constexpr int64_t kVarLengthIterations = 256;
-
-NodeConstraint FromPattern(const ast::NodePattern& np) {
-  NodeConstraint nc;
-  nc.labels = np.labels;
-  for (const auto& kv : np.properties) nc.eq_props.push_back(kv.first);
-  return nc;
-}
 
 /// The direction the traversal's source node sees: traversing a hop
 /// right-to-left flips the pattern arrow.
@@ -61,14 +53,6 @@ double CostModel::NodeSelectivity(const NodeConstraint& nc) const {
 
 double CostModel::ScanCardinality(const NodeConstraint& nc) const {
   return std::max(stats_.NodeCount() * NodeSelectivity(nc), kMinRows);
-}
-
-double CostModel::ScanCardinality(const ast::NodePattern& np) const {
-  return ScanCardinality(FromPattern(np));
-}
-
-double CostModel::NodeFilterSelectivity(const ast::NodePattern& np) const {
-  return NodeSelectivity(FromPattern(np));
 }
 
 double CostModel::HopFan(const ast::RelPattern& rp, bool reversed,
@@ -193,147 +177,62 @@ CostModel::ChainDecision CostModel::DecideChain(
     const ast::PathPattern& path, const std::vector<NodeConstraint>& nodes,
     const std::vector<bool>& bound, ExpandStrategy strategy,
     DirectionPolicy direction) const {
-  const size_t n = path.hops.size() + 1;
-  const size_t hops = path.hops.size();
-  const double rel_count = stats_.RelCount();
+  const size_t n = nodes.size();
+  ChainDecision d;
+  if (direction == DirectionPolicy::kForceRight) {
+    d.anchor = 0;
+  } else if (direction == DirectionPolicy::kForceLeft) {
+    d.anchor = n - 1;
+  } else {
+    double best = -1;
+    for (size_t i = 0; i < n; ++i) {
+      double c = bound[i] ? 0.0 : ScanCardinality(nodes[i]);
+      if (best < 0 || c < best) {
+        best = c;
+        d.anchor = i;
+      }
+    }
+  }
   const double node_n = std::max(stats_.NodeCount(), 1.0);
-  const double inf = std::numeric_limits<double>::infinity();
-
-  // Directional per-hop fans and adjacency scan widths, computed once.
-  std::vector<double> fwd_fan(hops), rev_fan(hops);
-  std::vector<double> fwd_scan(hops), rev_scan(hops);
-  for (size_t h = 0; h < hops; ++h) {
-    fwd_fan[h] = ExpandFactor(path.hops[h].rel, false, nodes[h]);
-    rev_fan[h] = ExpandFactor(path.hops[h].rel, true, nodes[h + 1]);
-    fwd_scan[h] = AdjacencyScanFan(path.hops[h].rel, false, nodes[h]);
-    rev_scan[h] = AdjacencyScanFan(path.hops[h].rel, true, nodes[h + 1]);
+  const double rel_count = stats_.RelCount();
+  // Estimated rows at the frontier: they weigh each hop's adjacency scan
+  // against the hash join's whole-store build.
+  double rows = bound[d.anchor] ? 1.0 : ScanCardinality(nodes[d.anchor]);
+  size_t right = d.anchor;
+  size_t left = d.anchor;
+  while (right + 1 < n || left > 0) {
+    bool go_right = right + 1 < n;
+    if (go_right && left > 0) {
+      double fr = ExpandFactor(path.hops[right].rel, false, nodes[right]);
+      double fl = ExpandFactor(path.hops[left - 1].rel, true, nodes[left]);
+      go_right = fr <= fl;
+    }
+    ChainStep s;
+    s.hop = go_right ? right : left - 1;
+    s.to_right = go_right;
+    const ast::RelPattern& rp = path.hops[s.hop].rel;
+    size_t from_i = go_right ? right : left;
+    size_t to_i = go_right ? right + 1 : left - 1;
+    double fan = ExpandFactor(rp, !go_right, nodes[from_i]);
+    double out = bound[to_i] ? rows * fan / node_n
+                             : rows * fan * NodeSelectivity(nodes[to_i]);
+    out = std::max(out, kMinRows);
+    // Var-length hops always run the adjacency frontier walk.
+    if (!rp.length && strategy != ExpandStrategy::kAdjacency) {
+      double adj =
+          rows * AdjacencyScanFan(rp, !go_right, nodes[from_i]) + out;
+      double join = rel_count + rows + out;
+      s.hash_join = strategy == ExpandStrategy::kHashJoin || join < adj;
+    }
+    d.steps.push_back(s);
+    rows = out;
+    if (go_right) {
+      ++right;
+    } else {
+      --left;
+    }
   }
-
-  // Row multiplier for reaching node `i` (rightward uses hop i-1
-  // forward, leftward uses hop i reversed): the fan into the node times
-  // its residual selectivity — or, for an already-bound node, the
-  // ExpandInto collapse (chance the reached endpoint IS the bound one).
-  auto reach_mult = [&](size_t i, bool to_right) {
-    double fan = to_right ? fwd_fan[i - 1] : rev_fan[i];
-    double sel = bound[i] ? 1.0 / node_n : NodeSelectivity(nodes[i]);
-    return fan * sel;
-  };
-
-  // Physical-operator cost of one expand step. Adjacency Expand touches
-  // rows_in * scan_fan adjacency entries and emits rows_out; the hash
-  // join builds over the WHOLE relationship store at Open, then probes.
-  // Var-length hops always run the adjacency frontier BFS.
-  auto step_cost = [&](double rows_in, size_t hop, bool to_right,
-                       double rows_out, bool* hash_join) {
-    double scan = to_right ? fwd_scan[hop] : rev_scan[hop];
-    double adj = rows_in * scan + rows_out;
-    *hash_join = false;
-    if (path.hops[hop].rel.length ||
-        strategy == ExpandStrategy::kAdjacency) {
-      return adj;
-    }
-    double join = rel_count + rows_in + rows_out;
-    if (strategy == ExpandStrategy::kHashJoin) {
-      *hash_join = true;
-      return join;
-    }
-    *hash_join = join < adj;
-    return std::min(adj, join);
-  };
-
-  size_t a_lo = 0;
-  size_t a_hi = n - 1;
-  if (direction == DirectionPolicy::kForceRight) a_hi = 0;
-  if (direction == DirectionPolicy::kForceLeft) a_lo = n - 1;
-
-  ChainDecision best;
-  bool have_best = false;
-  std::vector<std::vector<double>> card(n, std::vector<double>(n, 0));
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n, inf));
-  std::vector<std::vector<char>> went_right(n, std::vector<char>(n, 0));
-  std::vector<std::vector<char>> used_join(n, std::vector<char>(n, 0));
-
-  for (size_t a = a_lo; a <= a_hi; ++a) {
-    double anchor_scan = 0;  // rows the scan operator itself emits
-    double anchor_rows = 1;  // rows after the anchor's residual filters
-    if (!bound[a]) {
-      anchor_scan = stats_.NodeCount();
-      for (const auto& l : nodes[a].labels) {
-        anchor_scan = std::min(anchor_scan, stats_.NodesWithLabel(l));
-      }
-      anchor_rows = ScanCardinality(nodes[a]);
-    }
-    card[a][a] = anchor_rows;
-    cost[a][a] = anchor_scan + anchor_rows;
-
-    // Interval DP: state = the contiguous expanded interval [l..r]
-    // containing the anchor; each transition extends it one hop.
-    for (size_t span = 1; span < n; ++span) {
-      for (size_t l = 0; l + span < n; ++l) {
-        size_t r = l + span;
-        if (a < l || a > r) continue;
-        double c = r > a ? card[l][r - 1] * reach_mult(r, true)
-                         : card[l + 1][r] * reach_mult(l, false);
-        c = std::max(c, kMinRows);
-        card[l][r] = c;
-        double best_total = inf;
-        char chose_right = 0;
-        char chose_join = 0;
-        if (r > a) {
-          bool hj = false;
-          double total =
-              cost[l][r - 1] + step_cost(card[l][r - 1], r - 1, true, c, &hj);
-          if (total < best_total) {
-            best_total = total;
-            chose_right = 1;
-            chose_join = hj ? 1 : 0;
-          }
-        }
-        if (l < a) {
-          bool hj = false;
-          double total =
-              cost[l + 1][r] + step_cost(card[l + 1][r], l, false, c, &hj);
-          if (total < best_total) {
-            best_total = total;
-            chose_right = 0;
-            chose_join = hj ? 1 : 0;
-          }
-        }
-        cost[l][r] = best_total;
-        went_right[l][r] = chose_right;
-        used_join[l][r] = chose_join;
-      }
-    }
-
-    if (have_best && cost[0][n - 1] >= best.cost) continue;
-    // Backtrack the chosen interleaving (collected tip-first, reversed
-    // into emission order).
-    std::vector<ChainStep> steps;
-    size_t l = 0;
-    size_t r = n - 1;
-    while (l < a || r > a) {
-      ChainStep s;
-      s.out_rows = card[l][r];
-      s.hash_join = used_join[l][r] != 0;
-      if (went_right[l][r] != 0) {
-        s.hop = r - 1;
-        s.to_right = true;
-        --r;
-      } else {
-        s.hop = l;
-        s.to_right = false;
-        ++l;
-      }
-      steps.push_back(s);
-    }
-    std::reverse(steps.begin(), steps.end());
-    best.anchor = a;
-    best.anchor_rows = card[a][a];
-    best.cost = cost[0][n - 1];
-    best.steps = std::move(steps);
-    have_best = true;
-  }
-  return best;
+  return d;
 }
 
 }  // namespace gqlite

@@ -17,11 +17,11 @@ namespace gqlite {
 /// (GQLITE_PLAN_MODE tokens `adjacency` / `hashjoin` / `cost-expand`).
 enum class ExpandStrategy { kCost, kAdjacency, kHashJoin };
 
-/// Expand-direction override. kCost searches anchors/interleavings by
-/// estimated cost; kForceRight anchors at the chain's first node and
-/// expands left-to-right, kForceLeft anchors at the last node and
-/// expands right-to-left (GQLITE_PLAN_MODE tokens `force-right` /
-/// `force-left` / `cost-direction`).
+/// Expand-direction override. kCost picks the anchor and the order of
+/// the expands by estimated cost; kForceRight anchors at the chain's
+/// first node and expands left-to-right, kForceLeft anchors at the last
+/// node and expands right-to-left (GQLITE_PLAN_MODE tokens
+/// `force-right` / `force-left` / `cost-direction`).
 enum class DirectionPolicy { kCost, kForceRight, kForceLeft };
 
 /// A node's local constraints in copyable form (ast::NodePattern holds
@@ -36,7 +36,8 @@ struct NodeConstraint {
 };
 
 /// Cardinality-based cost model for pattern planning (§2: Neo4j plans
-/// "based on the IDP algorithm, using a cost model"). Inputs are the
+/// "based on the IDP algorithm, using a cost model"); gqlite's chain
+/// decision is the greedy DecideChain below. Inputs are the
 /// maintained statistics of the executing snapshot: label/type counts,
 /// per-type directional degree distributions (label-conditioned fans),
 /// and property NDV sketches.
@@ -56,11 +57,6 @@ class CostModel {
   /// Estimated rows from scanning candidates for the constraints:
   /// NodeCount() * NodeSelectivity.
   double ScanCardinality(const NodeConstraint& nc) const;
-  double ScanCardinality(const ast::NodePattern& np) const;
-
-  /// NodeSelectivity over a raw pattern node (labels + inline property
-  /// map) — identical formula to ScanCardinality / NodeCount().
-  double NodeFilterSelectivity(const ast::NodePattern& np) const;
 
   /// Estimated fan-out of one hop per input row, DIRECTIONAL: the typed
   /// degree in the actual traversal direction, conditioned on the
@@ -81,29 +77,24 @@ class CostModel {
                           const NodeConstraint& from) const;
 
   /// One planned step of a chain: which hop, which direction it is
-  /// traversed, which physical operator, and the estimated rows after
-  /// the step (surfaced as `est. rows` in EXPLAIN).
+  /// traversed and which physical operator runs it.
   struct ChainStep {
     size_t hop = 0;
     bool to_right = true;
     bool hash_join = false;
-    double out_rows = 1;
   };
   struct ChainDecision {
     size_t anchor = 0;
-    double anchor_rows = 1;  // rows after the anchor's filters
-    double cost = 0;
     std::vector<ChainStep> steps;  // in emission order
   };
 
-  /// Full chain planning: for every admissible anchor (restricted by
-  /// `direction`), an exact interval DP over interleavings — the state
-  /// is the contiguous expanded interval around the anchor, each
-  /// transition extends it one hop left or right and pays the cheaper
-  /// (or forced) operator's cost: adjacency ≈ rows_in * scan_fan +
-  /// rows_out, hash join ≈ RelCount + rows_in + rows_out. Chains are
-  /// exactly the shape where this search is optimal under the model —
-  /// the IDP chain specialization the paper cites. `nodes` carries the
+  /// The chain decision: anchor at a bound node or the cheapest scan
+  /// (unless `direction` pins an end), then repeatedly expand whichever
+  /// frontier has the smaller directional fan. Each hop's physical
+  /// operator is the cheaper of adjacency Expand (rows_in * scan_fan +
+  /// rows_out) and the relationship-store hash join (RelCount + rows_in
+  /// + rows_out), unless `strategy` forces a side; var-length hops
+  /// always run the adjacency frontier walk. `nodes` carries the
   /// augmented constraints per chain position (size hops+1), `bound`
   /// marks positions already bound by the driving table.
   ChainDecision DecideChain(const ast::PathPattern& path,

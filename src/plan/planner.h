@@ -12,27 +12,15 @@
 
 namespace gqlite {
 
-/// Planner configuration. The three modes ablate pattern ordering
-/// (experiment E15):
-///  * kLeftToRight — anchor every path at its syntactically first node and
-///    expand left to right (no cost model; the "naive" baseline);
-///  * kGreedy — anchor at the cheapest position by estimated cardinality
-///    and expand the cheaper frontier first;
-///  * kDpStarts — exhaustively cost every anchor position per path chain
-///    and pick the optimum. For chain-shaped patterns (Cypher path
-///    patterns are chains) this search is exact under the cost model —
-///    the chain specialization of the IDP join-ordering the paper cites.
+/// Planner configuration. Chains are decided by CostModel::DecideChain;
+/// the two policies below force its choices (the naive left-to-right
+/// baseline is kAdjacency + kForceRight).
 struct PlannerOptions {
-  enum class Mode { kGreedy, kLeftToRight, kDpStarts };
-  Mode mode = Mode::kGreedy;
-  /// E14 baseline: replace adjacency Expand with a relationship-store
-  /// hash join (equivalent to forcing expand_strategy = kHashJoin).
-  bool use_join_expand = false;
   /// Per-hop physical-operator choice: kCost compares the adjacency
   /// Expand against the relationship-store hash join per step; the
   /// forced values pin one side (differential-harness override).
   ExpandStrategy expand_strategy = ExpandStrategy::kCost;
-  /// Anchor/expand-direction choice: kCost searches by estimated cost;
+  /// Anchor/expand-direction choice: kCost picks by estimated cost;
   /// kForceRight / kForceLeft pin the chain traversal direction.
   DirectionPolicy direction_policy = DirectionPolicy::kCost;
   /// Morsel capacity of the batched runtime (1 = tuple-at-a-time).

@@ -3,7 +3,8 @@
 // relationship-store HashJoinExpand per hop, left-to-right vs
 // right-to-left chain direction) must produce the SAME bag of rows. The
 // harness generates seeded chain-shaped queries — the shapes where the
-// planner's DecideChain search actually has choices — and pins every
+// chain decision (CostModel::DecideChain) has an anchor, a per-hop
+// direction and a per-hop operator to choose — and pins every
 // forced configuration, across the serial batched (morsel 1 and 1024)
 // and parallel (1, 2 and 4 worker) executor legs, to the reference
 // interpreter. A cost model that merely picks SLOW plans is a perf bug;
@@ -259,30 +260,29 @@ class ScopedEnv {
 };
 
 TEST(PlanModeEnv, TokensApplyOverProgrammaticOptions) {
-  ScopedEnv env("GQLITE_PLAN_MODE", "hashjoin,force-left,greedy");
+  ScopedEnv env("GQLITE_PLAN_MODE", "hashjoin,force-left");
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kAdjacency;  // overridden
   CypherEngine engine(opts);
   EXPECT_EQ(engine.options().expand_strategy, ExpandStrategy::kHashJoin);
   EXPECT_EQ(engine.options().direction_policy, DirectionPolicy::kForceLeft);
-  EXPECT_EQ(engine.options().planner, PlannerOptions::Mode::kGreedy);
   EXPECT_TRUE(engine.Execute("RETURN 1 AS one").ok());
 }
 
 TEST(PlanModeEnv, CostTokensRestoreTheDefaults) {
-  ScopedEnv env("GQLITE_PLAN_MODE", "cost-expand,cost-direction,dp");
+  ScopedEnv env("GQLITE_PLAN_MODE", "cost-expand,cost-direction");
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kHashJoin;
   opts.direction_policy = DirectionPolicy::kForceRight;
   CypherEngine engine(opts);
   EXPECT_EQ(engine.options().expand_strategy, ExpandStrategy::kCost);
   EXPECT_EQ(engine.options().direction_policy, DirectionPolicy::kCost);
-  EXPECT_EQ(engine.options().planner, PlannerOptions::Mode::kDpStarts);
 }
 
 TEST(PlanModeEnv, UnknownTokenIsAClearErrorNotAClamp) {
   for (const char* garbage : {"fastest", "hash join", "adjacency,", ",",
-                              "adjacency;hashjoin", "FORCE-LEFT"}) {
+                              "adjacency;hashjoin", "FORCE-LEFT", "greedy",
+                              "dp", "ltr", "hashjoin,dp"}) {
     ScopedEnv env("GQLITE_PLAN_MODE", garbage);
     CypherEngine engine;
     auto r = engine.Execute("RETURN 1 AS one");

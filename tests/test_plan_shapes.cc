@@ -90,8 +90,8 @@ TEST(PlanShapes, FanOutFrontierPicksHashJoin) {
   // The hash join builds over the WHOLE relationship store, so it only
   // wins once the frontier outgrows the node count: after the :X fan-out
   // the frontier is ~2000 rows, and an adjacency expand of the :T hop
-  // would rescan ~50 noisy edges per row. Direction is pinned so the DP
-  // can't sidestep the scenario by walking the chain backwards.
+  // would rescan ~50 noisy edges per row. Direction is pinned so the
+  // planner can't sidestep the scenario by walking the chain backwards.
   EngineOptions opts;
   opts.direction_policy = DirectionPolicy::kForceRight;
   CypherEngine engine = MakeNoisyAdjacencyEngine(std::move(opts));
@@ -142,6 +142,56 @@ TEST(PlanShapes, VarLengthKeepsAdjacencyUnderForcedHashJoin) {
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("VarLengthExpand"), std::string::npos) << *e;
   EXPECT_EQ(e->find("HashJoinExpand"), std::string::npos) << *e;
+}
+
+/// A small social graph: 40 :Person nodes with three :FRIEND edges each,
+/// every person :IN one of 4 :City nodes. The unlabeled middle node of a
+/// Person-FRIEND-City chain matches people only, but a cost model that
+/// treats labels as independent estimates far fewer rows through it and
+/// is tempted to anchor there with an AllNodesScan.
+CypherEngine MakePersonCityEngine() {
+  CypherEngine engine;
+  auto g = std::make_shared<PropertyGraph>();
+  std::vector<NodeId> cities;
+  for (int i = 0; i < 4; ++i) {
+    cities.push_back(g->CreateNode(
+        {"City"}, {{"name", Value::String("C" + std::to_string(i))}}));
+  }
+  std::vector<NodeId> people;
+  for (int i = 0; i < 40; ++i) {
+    people.push_back(g->CreateNode({"Person"}, {{"id", Value::Int(i)}}));
+    EXPECT_TRUE(g->CreateRelationship(people[i], cities[i % 4], "IN", {}).ok());
+  }
+  for (int i = 0; i < 40; ++i) {
+    for (int d : {1, 7, 13}) {
+      EXPECT_TRUE(
+          g->CreateRelationship(people[i], people[(i + d) % 40], "FRIEND", {})
+              .ok());
+    }
+  }
+  engine.set_default_graph(g);
+  return engine;
+}
+
+TEST(PlanShapes, OneHopAnchorsAtTheLabelScan) {
+  CypherEngine engine = MakePersonCityEngine();
+  auto e = engine.Explain("MATCH (p:Person)-[:FRIEND]->(q) RETURN count(*)");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_NE(e->find("NodeByLabelScan(p:Person)"), std::string::npos) << *e;
+  EXPECT_NE(e->find("Expand(p->:FRIEND->q)"), std::string::npos) << *e;
+  EXPECT_EQ(e->find("AllNodesScan"), std::string::npos) << *e;
+}
+
+TEST(PlanShapes, TwoHopChainNeverAnchorsAtTheUnlabeledMiddle) {
+  CypherEngine engine = MakePersonCityEngine();
+  auto e = engine.Explain(
+      "MATCH (p:Person)-[:FRIEND]->(q)-[:IN]->(c:City) RETURN count(*)");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  // Anchor at the 4 cities and walk the chain right-to-left.
+  EXPECT_NE(e->find("NodeByLabelScan(c:City)"), std::string::npos) << *e;
+  EXPECT_NE(e->find("Expand(c<-:IN<-q)"), std::string::npos) << *e;
+  EXPECT_NE(e->find("Expand(q<-:FRIEND<-p)"), std::string::npos) << *e;
+  EXPECT_EQ(e->find("AllNodesScan"), std::string::npos) << *e;
 }
 
 }  // namespace
