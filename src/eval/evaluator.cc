@@ -5,6 +5,7 @@
 #include <regex>
 
 #include "src/common/string_util.h"
+#include "src/eval/eval_ops.h"
 #include "src/eval/functions.h"
 #include "src/frontend/analyzer.h"
 #include "src/frontend/ast_printer.h"
@@ -14,7 +15,7 @@ namespace gqlite {
 
 using namespace ast;  // NOLINT(build/namespaces)
 
-namespace {
+namespace eval_ops {
 
 Status TypeErr(const std::string& what, const Value& v) {
   return Status::TypeError(what + " (got " + ValueTypeName(v.type()) + ")");
@@ -135,9 +136,9 @@ Result<Value> AccessProperty(const Value& obj, std::string_view key,
   }
 }
 
-Result<Value> Arith(BinaryOp op, const Value& a, const Value& b);
+}  // namespace eval_ops
 
-}  // namespace
+using namespace eval_ops;  // NOLINT(build/namespaces)
 
 Result<int64_t> CheckedAddInt64(int64_t a, int64_t b) {
   int64_t r = 0;
@@ -152,7 +153,7 @@ Result<Value> AddValues(const Value& a, const Value& b) {
   return Arith(BinaryOp::kAdd, a, b);
 }
 
-namespace {
+namespace eval_ops {
 
 Result<Value> Arith(BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
@@ -313,6 +314,28 @@ Result<Value> Arith(BinaryOp op, const Value& a, const Value& b) {
   return Status::Internal("unhandled arithmetic operator");
 }
 
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNeq || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+Tri Compare(BinaryOp op, const Value& a, const Value& b) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return ValueEquals(a, b);
+    case BinaryOp::kNeq:
+      return TriNot(ValueEquals(a, b));
+    case BinaryOp::kLt:
+      return ValueLess(a, b);
+    case BinaryOp::kLe:
+      return TriOr(ValueLess(a, b), ValueEquals(a, b));
+    case BinaryOp::kGt:
+      return ValueLess(b, a);
+    default:  // kGe
+      return TriOr(ValueLess(b, a), ValueEquals(a, b));
+  }
+}
+
 Result<Value> StringPredicate(BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (!a.is_string() || !b.is_string()) {
@@ -392,7 +415,7 @@ Result<Value> SliceValue(const Value& obj, const Value& from, const Value& to) {
   return Value::MakeList(std::move(out));
 }
 
-}  // namespace
+}  // namespace eval_ops
 
 Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
                            const EvalContext& ctx) {
@@ -508,19 +531,8 @@ Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
       }
       GQL_ASSIGN_OR_RETURN(Value lv, EvaluateExpr(*b.lhs, env, ctx));
       GQL_ASSIGN_OR_RETURN(Value rv, EvaluateExpr(*b.rhs, env, ctx));
+      if (IsComparison(b.op)) return TriToValue(Compare(b.op, lv, rv));
       switch (b.op) {
-        case BinaryOp::kEq:
-          return TriToValue(ValueEquals(lv, rv));
-        case BinaryOp::kNeq:
-          return TriToValue(TriNot(ValueEquals(lv, rv)));
-        case BinaryOp::kLt:
-          return TriToValue(ValueLess(lv, rv));
-        case BinaryOp::kLe:
-          return TriToValue(TriOr(ValueLess(lv, rv), ValueEquals(lv, rv)));
-        case BinaryOp::kGt:
-          return TriToValue(ValueLess(rv, lv));
-        case BinaryOp::kGe:
-          return TriToValue(TriOr(ValueLess(rv, lv), ValueEquals(lv, rv)));
         case BinaryOp::kAdd:
         case BinaryOp::kSub:
         case BinaryOp::kMul:

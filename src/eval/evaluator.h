@@ -13,8 +13,11 @@
 namespace gqlite {
 
 /// A variable-binding environment (the assignment u of the paper). The
-/// evaluator resolves VariableExpr through this interface; list
-/// comprehensions push overlay environments.
+/// name-based evaluator (EvaluateExpr, the interpreter oracle's) and the
+/// pattern matcher resolve variables through this interface; list
+/// comprehensions push overlay environments. The Volcano runtime binds
+/// variables to row slots instead (src/eval/bound_expr.h) and builds an
+/// Environment only at the matcher boundary.
 class Environment {
  public:
   virtual ~Environment() = default;
@@ -59,25 +62,6 @@ class OverlayEnvironment : public Environment {
   const Value& value_;
 };
 
-/// Environment over a schema (column names) and one positional row — the
-/// batched runtime's row view (no Table required).
-class SchemaRowEnvironment : public Environment {
- public:
-  SchemaRowEnvironment(const std::vector<std::string>& schema,
-                       const ValueList& row)
-      : schema_(schema), row_(row) {}
-  const Value* Lookup(const std::string& name) const override {
-    for (size_t i = 0; i < schema_.size() && i < row_.size(); ++i) {
-      if (schema_[i] == name) return &row_[i];
-    }
-    return nullptr;
-  }
-
- private:
-  const std::vector<std::string>& schema_;
-  const ValueList& row_;
-};
-
 /// Context threaded through expression evaluation: the graph G (for
 /// property/label access — ⟦expr⟧G,u is parameterized by G), the query
 /// parameters, and a hook for evaluating pattern predicates (wired up by
@@ -92,8 +76,12 @@ struct EvalContext {
   uint64_t* rand_state = nullptr;
 };
 
-/// Evaluates ⟦expr⟧G,u (§4.3). Type errors (e.g. `1 + true`) are
-/// kTypeError; nulls propagate per SQL/Cypher rules and never error.
+/// Evaluates ⟦expr⟧G,u (§4.3) by name: every variable is looked up in
+/// `env`, every property key and parameter by its string. This is the
+/// interpreter oracle's evaluator; the Volcano runtime evaluates the
+/// same semantics through BoundExpr, bound once per plan. Type errors
+/// (e.g. `1 + true`) are kTypeError; nulls propagate per SQL/Cypher rules
+/// and never error.
 Result<Value> EvaluateExpr(const ast::Expr& e, const Environment& env,
                            const EvalContext& ctx);
 

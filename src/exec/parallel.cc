@@ -10,6 +10,7 @@
 
 #include "src/frontend/analyzer.h"
 #include "src/interp/projection.h"
+#include "src/plan/runtime.h"
 #include "src/value/value_compare.h"
 
 namespace gqlite {
@@ -229,16 +230,16 @@ struct SortRow {
 };
 using SortedRun = std::vector<SortRow>;
 
-bool SortRowLess(const ast::ProjectionBody& body, const SortRow& a,
+bool SortRowLess(const BoundProjection& proj, const SortRow& a,
                  const SortRow& b) {
-  int c = CompareOrderKeys(body, a.keys, b.keys);
+  int c = proj.Compare(a.row, a.keys, b.row, b.keys);
   if (c != 0) return c < 0;
   return a.range != b.range ? a.range < b.range : a.idx < b.idx;
 }
 
 /// Two-way merge of sorted runs, truncated to the first `topk` rows
 /// (UINT64_MAX = unbounded).
-SortedRun MergeSortedRuns(const ast::ProjectionBody& body, SortedRun a,
+SortedRun MergeSortedRuns(const BoundProjection& proj, SortedRun a,
                           SortedRun b, uint64_t topk) {
   SortedRun out;
   uint64_t total = a.size() + b.size();
@@ -247,7 +248,7 @@ SortedRun MergeSortedRuns(const ast::ProjectionBody& body, SortedRun a,
   size_t j = 0;
   while ((i < a.size() || j < b.size()) && out.size() < topk) {
     bool take_a =
-        j >= b.size() || (i < a.size() && SortRowLess(body, a[i], b[j]));
+        j >= b.size() || (i < a.size() && SortRowLess(proj, a[i], b[j]));
     out.push_back(std::move(take_a ? a[i++] : b[j++]));
   }
   return out;
@@ -256,7 +257,7 @@ SortedRun MergeSortedRuns(const ast::ProjectionBody& body, SortedRun a,
 /// Tree-structured pairwise merge on the pool, leaving one run. The
 /// pairing is deterministic, but under the strict total order ANY tree
 /// shape yields identical output — the determinism is belt-and-braces.
-Status TreeMergeRuns(WorkerPool* pool, const ast::ProjectionBody& body,
+Status TreeMergeRuns(WorkerPool* pool, const BoundProjection& proj,
                      std::vector<SortedRun>* runs, uint64_t topk,
                      size_t* merge_tasks) {
   while (runs->size() > 1) {
@@ -264,7 +265,7 @@ Status TreeMergeRuns(WorkerPool* pool, const ast::ProjectionBody& body,
     size_t pairs = rs.size() / 2;
     std::vector<SortedRun> next(pairs + rs.size() % 2);
     GQL_RETURN_IF_ERROR(pool->RunTasks(pairs, [&](size_t t) -> Status {
-      next[t] = MergeSortedRuns(body, std::move(rs[2 * t]),
+      next[t] = MergeSortedRuns(proj, std::move(rs[2 * t]),
                                 std::move(rs[2 * t + 1]), topk);
       return Status::OK();
     }));
@@ -300,18 +301,19 @@ struct RowPtrEq {
 
 /// The serial tail's SKIP/LIMIT slice (the merge stages sort/dedup
 /// themselves, then slice and WHERE-filter exactly like
-/// ApplyProjectionTail + FilterWhere).
-Result<Table> SliceSkipLimit(const ast::ProjectionBody& body, Table t,
+/// BoundProjection::Tail + FilterWhere).
+Result<Table> SliceSkipLimit(const BoundProjection& proj, Table t,
                              const EvalContext& ctx) {
-  if (body.skip == nullptr && body.limit == nullptr) return t;
-  GQL_ASSIGN_OR_RETURN(SkipLimitBounds b, EvaluateSkipLimit(body, ctx));
-  Table limited(t.fields());
-  int64_t n = static_cast<int64_t>(t.NumRows());
-  int64_t end = b.limit < 0 ? n : std::min(n, b.skip + b.limit);
-  for (int64_t i = b.skip; i < end; ++i) {
-    limited.AddRow(std::move(t.mutable_rows()[i]));
-  }
-  return limited;
+  if (proj.body().skip == nullptr && proj.body().limit == nullptr) return t;
+  GQL_ASSIGN_OR_RETURN(SkipLimitBounds b, proj.SkipLimit(ctx));
+  return SliceRows(std::move(t), b);
+}
+
+/// Sorts a run under SortRowLess and keeps its first `topk` rows.
+void SortRun(const BoundProjection& proj, SortedRun* run, uint64_t topk) {
+  SortTopK(run, topk, [&proj](const SortRow& a, const SortRow& b) {
+    return SortRowLess(proj, a, b);
+  });
 }
 
 }  // namespace
@@ -441,6 +443,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
       par.scans.size() != par.projections.size()) {
     return Status::Internal("plan is not prepared for parallel execution");
   }
+  ResolvePlanBindings(plan);
   const size_t instances = par.scans.size();
   const size_t workers =
       instances < pool->size() + 1 ? instances : pool->size() + 1;
@@ -450,7 +453,8 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   const size_t num_morsels = dispatcher.num_morsels();
 
   ProjectionOp* merge_proj = par.projections[0];
-  const ast::ProjectionBody& body = *merge_proj->body();
+  const BoundProjection& merge_bound = merge_proj->projection();
+  const ast::ProjectionBody& body = merge_bound.body();
   const EvalContext& merge_eval = merge_proj->exec_context()->eval;
 
   // Resumes the serial plan above the merge point; a no-op when the
@@ -478,18 +482,15 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   // per-range sorted runs; everything else (plain projection, bare
   // SKIP/LIMIT) concatenates raw child rows in range order — the serial
   // scan order — and runs the breaker once over them.
-  const bool aggregates = ProjectionAggregates(body);
+  const bool aggregates = merge_bound.aggregates();
   const bool distinct = !aggregates && body.distinct;
   const bool sort_only = !aggregates && !distinct && !body.order_by.empty();
   std::optional<AggregationState> proto;
   bool agg_keyed = false;
   if (aggregates) {
-    // One shared plan (the Shape is immutable); workers Fork() it.
-    GQL_ASSIGN_OR_RETURN(
-        AggregationState planned,
-        AggregationState::Plan(body, merge_proj->child()->schema()));
-    agg_keyed = planned.has_keys();
-    proto.emplace(std::move(planned));
+    // One shared plan (the bound Shape is immutable); workers Fork() it.
+    proto.emplace(merge_bound.NewAggregation());
+    agg_keyed = proto->has_keys();
   }
   const size_t partitions = workers;  // radix width of the keyed merges
 
@@ -503,11 +504,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   uint64_t topk = UINT64_MAX;
   if (!body.order_by.empty() &&
       (body.skip != nullptr || body.limit != nullptr)) {
-    Result<SkipLimitBounds> bounds = EvaluateSkipLimit(body, merge_eval);
-    if (bounds.ok() && bounds->limit >= 0) {
-      topk = static_cast<uint64_t>(bounds->skip) +
-             static_cast<uint64_t>(bounds->limit);
-    }
+    topk = TopKBound(merge_bound.SkipLimit(merge_eval));
   }
 
   // Per-range buffers, one flavor per merge kind.
@@ -529,6 +526,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   auto work = [&](size_t w) -> Status {
     if (w >= instances) return Status::OK();
     ProjectionOp* wproj = par.projections[w];
+    const BoundProjection& wbound = wproj->projection();
     Operator* root = wproj->child();
     PartitionedScan* scan = par.scans[w];
     const EvalContext& eval = wproj->exec_context()->eval;
@@ -581,29 +579,27 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
         if (sort_only) {
           // Project and key in one pass, then the bounded local sort —
           // this range's contribution to the parallel merge sort.
-          std::vector<ValueList> keys;
-          GQL_ASSIGN_OR_RETURN(Table projected,
-                               wproj->ProjectChunk(std::move(t), &keys));
           SortedRun run;
-          run.reserve(projected.NumRows());
-          for (size_t i = 0; i < projected.NumRows(); ++i) {
-            run.push_back(SortRow{std::move(projected.mutable_rows()[i]),
-                                  std::move(keys[i]), morsel.index, i});
+          run.reserve(t.NumRows());
+          for (size_t i = 0; i < t.NumRows(); ++i) {
+            ValueList keys;
+            GQL_ASSIGN_OR_RETURN(ValueList out,
+                                 wbound.MapRow(t.rows()[i], eval, &keys));
+            run.push_back(
+                SortRow{std::move(out), std::move(keys), morsel.index, i});
           }
-          std::sort(run.begin(), run.end(),
-                    [&body](const SortRow& a, const SortRow& b) {
-                      return SortRowLess(body, a, b);
-                    });
-          if (run.size() > topk) run.resize(static_cast<size_t>(topk));
+          SortRun(wbound, &run, topk);
           range_runs[morsel.index] = std::move(run);
         } else if (distinct) {
           // Project, then pre-split the row indices by whole-row hash so
           // the dedup stage becomes `partitions` independent seen-sets.
-          GQL_ASSIGN_OR_RETURN(Table projected,
-                               wproj->ProjectChunk(std::move(t), nullptr));
+          Table projected(wbound.out_fields());
           std::vector<std::vector<uint64_t>> parts(partitions);
-          for (size_t i = 0; i < projected.NumRows(); ++i) {
-            parts[RowHash(projected.rows()[i]) % partitions].push_back(i);
+          for (size_t i = 0; i < t.NumRows(); ++i) {
+            GQL_ASSIGN_OR_RETURN(ValueList out,
+                                 wbound.MapRow(t.rows()[i], eval, nullptr));
+            parts[RowHash(out) % partitions].push_back(i);
+            projected.AddRow(std::move(out));
           }
           range_parts[morsel.index] = std::move(parts);
           range_proj[morsel.index] = std::move(projected);
@@ -688,9 +684,9 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
         ++pos[best];
       }
       GQL_ASSIGN_OR_RETURN(
-          Table tailed, ApplyProjectionTail(body, std::move(grouped), nullptr,
-                                            nullptr, merge_eval));
-      return merge_proj->FilterWhere(std::move(tailed));
+          Table tailed,
+          merge_bound.Tail(std::move(grouped), nullptr, merge_eval));
+      return merge_bound.FilterWhere(std::move(tailed), merge_eval);
     }
 
     if (aggregates) {
@@ -702,9 +698,9 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
       }
       GQL_ASSIGN_OR_RETURN(Table grouped, merged.Finish(merge_eval));
       GQL_ASSIGN_OR_RETURN(
-          Table tailed, ApplyProjectionTail(body, std::move(grouped), nullptr,
-                                            nullptr, merge_eval));
-      return merge_proj->FilterWhere(std::move(tailed));
+          Table tailed,
+          merge_bound.Tail(std::move(grouped), nullptr, merge_eval));
+      return merge_bound.FilterWhere(std::move(tailed), merge_eval);
     }
 
     if (distinct) {
@@ -727,11 +723,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
             return Status::OK();
           }));
       merge_tasks += partitions;
-      GQL_ASSIGN_OR_RETURN(
-          Table shape,
-          merge_proj->ProjectChunk(Table(merge_proj->child()->schema()),
-                                   nullptr));
-      Table deduped(shape.fields());
+      Table deduped(merge_bound.out_fields());
       std::vector<size_t> pos(partitions, 0);
       while (true) {
         size_t best = partitions;
@@ -764,50 +756,41 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           SortedRun run;
           run.reserve(hi - lo);
           for (size_t i = lo; i < hi; ++i) {
+            // Every chunk moves rows out of a disjoint index range of
+            // `deduped`.
+            ValueList& row = deduped.mutable_rows()[i];
             GQL_ASSIGN_OR_RETURN(
                 ValueList keys,
-                OrderKeysForRow(body, deduped, deduped.rows()[i], nullptr,
-                                nullptr, merge_eval));
-            run.push_back(SortRow{ValueList(), std::move(keys), 0, i});
+                merge_bound.OrderKeys(row, nullptr, merge_eval));
+            run.push_back(SortRow{std::move(row), std::move(keys), 0, i});
           }
-          std::sort(run.begin(), run.end(),
-                    [&body](const SortRow& a, const SortRow& b) {
-                      return SortRowLess(body, a, b);
-                    });
-          if (run.size() > topk) run.resize(static_cast<size_t>(topk));
-          // Rows move only for the survivors of the bound; every chunk
-          // touches a disjoint index range of `deduped`.
-          for (SortRow& sr : run) {
-            sr.row = std::move(deduped.mutable_rows()[sr.idx]);
-          }
+          SortRun(merge_bound, &run, topk);
           runs[c] = std::move(run);
           return Status::OK();
         }));
         merge_tasks += chunks;
         GQL_RETURN_IF_ERROR(
-            TreeMergeRuns(pool, body, &runs, topk, &merge_tasks));
+            TreeMergeRuns(pool, merge_bound, &runs, topk, &merge_tasks));
         Table sorted(deduped.fields());
         for (SortRow& sr : runs[0]) sorted.AddRow(std::move(sr.row));
         deduped = std::move(sorted);
       }
-      GQL_ASSIGN_OR_RETURN(
-          Table sliced, SliceSkipLimit(body, std::move(deduped), merge_eval));
-      return merge_proj->FilterWhere(std::move(sliced));
+      GQL_ASSIGN_OR_RETURN(Table sliced, SliceSkipLimit(merge_bound,
+                                                        std::move(deduped),
+                                                        merge_eval));
+      return merge_bound.FilterWhere(std::move(sliced), merge_eval);
     }
 
     if (sort_only) {
       std::vector<SortedRun> runs = std::move(range_runs);
       GQL_RETURN_IF_ERROR(
-          TreeMergeRuns(pool, body, &runs, topk, &merge_tasks));
-      GQL_ASSIGN_OR_RETURN(
-          Table shape,
-          merge_proj->ProjectChunk(Table(merge_proj->child()->schema()),
-                                   nullptr));
-      Table sorted(shape.fields());
+          TreeMergeRuns(pool, merge_bound, &runs, topk, &merge_tasks));
+      Table sorted(merge_bound.out_fields());
       for (SortRow& sr : runs[0]) sorted.AddRow(std::move(sr.row));
-      GQL_ASSIGN_OR_RETURN(
-          Table sliced, SliceSkipLimit(body, std::move(sorted), merge_eval));
-      return merge_proj->FilterWhere(std::move(sliced));
+      GQL_ASSIGN_OR_RETURN(Table sliced, SliceSkipLimit(merge_bound,
+                                                        std::move(sorted),
+                                                        merge_eval));
+      return merge_bound.FilterWhere(std::move(sliced), merge_eval);
     }
 
     Table merged(merge_proj->child()->schema());
@@ -816,7 +799,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
         merged.AddRow(std::move(row));
       }
     }
-    return merge_proj->ProjectTable(std::move(merged));
+    return merge_proj->ProjectTable(merged);
   };
 
   GQL_ASSIGN_OR_RETURN(Table merged, compute_merged());

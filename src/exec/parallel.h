@@ -21,6 +21,8 @@ namespace gqlite {
 ///    MorselDispatcher splits the scan domain (node slots / label-index
 ///    entries) into contiguous ranges that workers claim atomically —
 ///    work stealing falls out of the shared claim counter.
+///  * Every instance's key/label/parameter tables are resolved once,
+///    before dispatch (ResolvePlanBindings); workers then only read them.
 ///  * A worker binds its instance's scan to the claimed range, re-Opens
 ///    the pipeline, drains it, and buffers the result PER RANGE.
 ///  * The MERGE POINT is the lowest pipeline breaker on the projection
@@ -36,7 +38,8 @@ namespace gqlite {
 ///      - ORDER BY: per-range local sorts ordered by (keys, range, row) —
 ///        a STRICT total order, so the tree-structured pairwise run merge
 ///        is shape-independent and reproduces std::stable_sort exactly;
-///        SKIP/LIMIT push a top-K bound into the local sorts and merges.
+///        SKIP/LIMIT push a top-K bound into the local sorts (bounded
+///        std::partial_sort) and merges.
 ///      - keyed aggregation: rows hash-partition on their group key
 ///        (RowHash — the group index's own equivalence-consistent hash),
 ///        so the merge becomes independent per-partition MergeFrom chains;

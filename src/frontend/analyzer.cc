@@ -94,6 +94,134 @@ std::string DerivedColumnName(const Expr& e) { return UnparseExpr(e); }
 
 namespace {
 
+void CollectVars(const Expr& e, std::set<std::string>* skip,
+                 std::vector<std::string>* out) {
+  switch (e.kind) {
+    case Expr::Kind::kVariable: {
+      const auto& v = static_cast<const VariableExpr&>(e);
+      if (!skip->contains(v.name)) out->push_back(v.name);
+      return;
+    }
+    case Expr::Kind::kProperty:
+      CollectVars(*static_cast<const PropertyExpr&>(e).object, skip, out);
+      return;
+    case Expr::Kind::kLabelCheck:
+      CollectVars(*static_cast<const LabelCheckExpr&>(e).object, skip, out);
+      return;
+    case Expr::Kind::kListLiteral:
+      for (const auto& i : static_cast<const ListLiteralExpr&>(e).items) {
+        CollectVars(*i, skip, out);
+      }
+      return;
+    case Expr::Kind::kMapLiteral:
+      for (const auto& [k, v] : static_cast<const MapLiteralExpr&>(e).entries) {
+        CollectVars(*v, skip, out);
+      }
+      return;
+    case Expr::Kind::kFunctionCall:
+      for (const auto& a : static_cast<const FunctionCallExpr&>(e).args) {
+        CollectVars(*a, skip, out);
+      }
+      return;
+    case Expr::Kind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      CollectVars(*b.lhs, skip, out);
+      CollectVars(*b.rhs, skip, out);
+      return;
+    }
+    case Expr::Kind::kUnary:
+      CollectVars(*static_cast<const UnaryExpr&>(e).operand, skip, out);
+      return;
+    case Expr::Kind::kIndex: {
+      const auto& i = static_cast<const IndexExpr&>(e);
+      CollectVars(*i.object, skip, out);
+      CollectVars(*i.index, skip, out);
+      return;
+    }
+    case Expr::Kind::kSlice: {
+      const auto& s = static_cast<const SliceExpr&>(e);
+      CollectVars(*s.object, skip, out);
+      if (s.from) CollectVars(*s.from, skip, out);
+      if (s.to) CollectVars(*s.to, skip, out);
+      return;
+    }
+    case Expr::Kind::kCase: {
+      const auto& c = static_cast<const CaseExpr&>(e);
+      if (c.operand) CollectVars(*c.operand, skip, out);
+      for (const auto& [w, t] : c.whens) {
+        CollectVars(*w, skip, out);
+        CollectVars(*t, skip, out);
+      }
+      if (c.otherwise) CollectVars(*c.otherwise, skip, out);
+      return;
+    }
+    case Expr::Kind::kListComprehension: {
+      const auto& c = static_cast<const ListComprehensionExpr&>(e);
+      CollectVars(*c.list, skip, out);
+      bool added = skip->insert(c.var).second;
+      if (c.where) CollectVars(*c.where, skip, out);
+      if (c.project) CollectVars(*c.project, skip, out);
+      if (added) skip->erase(c.var);
+      return;
+    }
+    case Expr::Kind::kQuantifier: {
+      const auto& q = static_cast<const QuantifierExpr&>(e);
+      CollectVars(*q.list, skip, out);
+      bool added = skip->insert(q.var).second;
+      CollectVars(*q.where, skip, out);
+      if (added) skip->erase(q.var);
+      return;
+    }
+    case Expr::Kind::kReduce: {
+      const auto& r = static_cast<const ReduceExpr&>(e);
+      CollectVars(*r.init, skip, out);
+      CollectVars(*r.list, skip, out);
+      bool added_acc = skip->insert(r.acc).second;
+      bool added_var = skip->insert(r.var).second;
+      CollectVars(*r.body, skip, out);
+      if (added_acc) skip->erase(r.acc);
+      if (added_var) skip->erase(r.var);
+      return;
+    }
+    case Expr::Kind::kPatternPredicate: {
+      const auto& p = static_cast<const PatternPredicateExpr&>(e);
+      auto props = [&](const auto& properties) {
+        for (const auto& kv : properties) CollectVars(*kv.second, skip, out);
+      };
+      for (const auto& path : p.pattern.paths) {
+        if (path.start.var && !skip->contains(*path.start.var)) {
+          out->push_back(*path.start.var);
+        }
+        props(path.start.properties);
+        for (const auto& hop : path.hops) {
+          if (hop.rel.var && !skip->contains(*hop.rel.var)) {
+            out->push_back(*hop.rel.var);
+          }
+          props(hop.rel.properties);
+          if (hop.node.var && !skip->contains(*hop.node.var)) {
+            out->push_back(*hop.node.var);
+          }
+          props(hop.node.properties);
+        }
+      }
+      return;
+    }
+    default:
+      return;
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> ExprVariables(const Expr& e) {
+  std::vector<std::string> out;
+  std::set<std::string> skip;
+  CollectVars(e, &skip, &out);
+  return out;
+}
+
+namespace {
+
 using Scope = std::map<std::string, VarKind>;
 
 const char* VarKindName(VarKind k) {

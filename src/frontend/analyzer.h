@@ -28,6 +28,13 @@ bool ContainsAggregate(const ast::Expr& e);
 /// expression text.
 std::string DerivedColumnName(const ast::Expr& e);
 
+/// Variables referenced by an expression (free variables, not counting
+/// list-comprehension, quantifier or reduce locals; a pattern
+/// predicate's include its property expressions'). The planner places
+/// filters by them; the binder binds them to slots for the subtrees it
+/// leaves name-resolved.
+std::vector<std::string> ExprVariables(const ast::Expr& e);
+
 /// Result of semantic analysis.
 struct QueryInfo {
   /// True if any clause mutates the graph (CREATE/DELETE/SET/REMOVE/MERGE).

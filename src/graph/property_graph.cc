@@ -385,6 +385,14 @@ const Value& PropertyGraph::RelProperty(RelId r,
   return GetProp(rel(r).props, keys_.Lookup(key));
 }
 
+const Value& PropertyGraph::NodePropertyById(NodeId n, SymbolId key) const {
+  return GetProp(node(n).props, key);
+}
+
+const Value& PropertyGraph::RelPropertyById(RelId r, SymbolId key) const {
+  return GetProp(rel(r).props, key);
+}
+
 int PropertyGraph::SetNodeProperty(NodeId n, std::string_view key, Value v) {
   AssertMutable();
   SymbolId k = keys_.Intern(key);

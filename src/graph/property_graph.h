@@ -166,6 +166,11 @@ class PropertyGraph {
   /// copy without materializing an intermediate.
   const Value& NodeProperty(NodeId n, std::string_view key) const;
   const Value& RelProperty(RelId r, std::string_view key) const;
+  /// ι by interned key id — the bound runtime resolves each key name to
+  /// its id once per execution (keys().Lookup), then reads by id.
+  /// kNoSymbol (a key this graph never saw) reads as null.
+  const Value& NodePropertyById(NodeId n, SymbolId key) const;
+  const Value& RelPropertyById(RelId r, SymbolId key) const;
   /// Sets (or, with a null value, removes) a property. Returns the number
   /// of properties added/changed (0 or 1).
   int SetNodeProperty(NodeId n, std::string_view key, Value v);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -17,8 +18,8 @@ namespace {
 
 /// Rewrites an expression by pulling out aggregate calls: each aggregate
 /// occurrence becomes a VariableExpr("#aggN") and its (argument, function,
-/// distinct) triple is appended to `slots`. The returned clone is
-/// evaluated per group against an environment that resolves "#aggN".
+/// distinct) triple is appended to `slots`. The returned clone is bound
+/// with `#aggN` as aggregate slots and evaluated once per group.
 struct AggSlot {
   std::string fn;      // "count", "sum", ... or "count(*)"
   bool distinct = false;
@@ -67,38 +68,42 @@ ExprPtr ExtractAggregates(const Expr& e, std::vector<AggSlot>* slots) {
     }
     return std::make_unique<MapLiteralExpr>(std::move(entries));
   }
-  // Other node kinds cannot contain aggregates per the analyzer (or are
-  // leaves); clone as-is.
-  return CloneExpr(e);
-}
-
-/// Environment that resolves "#aggN" placeholders, falling back to a base.
-class AggEnvironment : public Environment {
- public:
-  AggEnvironment(const Environment& base, const ValueList& agg_values)
-      : base_(base), agg_values_(agg_values) {}
-  const Value* Lookup(const std::string& name) const override {
-    if (name.size() > 4 && name.compare(0, 4, "#agg") == 0) {
-      size_t i = std::stoul(name.substr(4));
-      if (i < agg_values_.size()) return &agg_values_[i];
+  if (e.kind == Expr::Kind::kProperty) {
+    const auto& p = static_cast<const PropertyExpr&>(e);
+    return std::make_unique<PropertyExpr>(ExtractAggregates(*p.object, slots),
+                                          p.key);
+  }
+  if (e.kind == Expr::Kind::kLabelCheck) {
+    const auto& l = static_cast<const LabelCheckExpr&>(e);
+    return std::make_unique<LabelCheckExpr>(
+        ExtractAggregates(*l.object, slots), l.labels);
+  }
+  if (e.kind == Expr::Kind::kIndex) {
+    const auto& i = static_cast<const IndexExpr&>(e);
+    return std::make_unique<IndexExpr>(ExtractAggregates(*i.object, slots),
+                                       ExtractAggregates(*i.index, slots));
+  }
+  if (e.kind == Expr::Kind::kSlice) {
+    const auto& sl = static_cast<const SliceExpr&>(e);
+    return std::make_unique<SliceExpr>(
+        ExtractAggregates(*sl.object, slots),
+        sl.from ? ExtractAggregates(*sl.from, slots) : nullptr,
+        sl.to ? ExtractAggregates(*sl.to, slots) : nullptr);
+  }
+  if (e.kind == Expr::Kind::kCase) {
+    const auto& c = static_cast<const CaseExpr&>(e);
+    auto out = std::make_unique<CaseExpr>();
+    if (c.operand) out->operand = ExtractAggregates(*c.operand, slots);
+    for (const auto& [w, t] : c.whens) {
+      out->whens.emplace_back(ExtractAggregates(*w, slots),
+                              ExtractAggregates(*t, slots));
     }
-    return base_.Lookup(name);
+    if (c.otherwise) out->otherwise = ExtractAggregates(*c.otherwise, slots);
+    return out;
   }
-
- private:
-  const Environment& base_;
-  const ValueList& agg_values_;
-};
-
-Result<int64_t> EvalCount(const Expr& e, const EvalContext& ctx,
-                          const char* what) {
-  MapEnvironment empty;
-  GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(e, empty, ctx));
-  if (!v.is_int() || v.AsInt() < 0) {
-    return Status::EvaluationError(std::string(what) +
-                                   " must be a non-negative integer");
-  }
-  return v.AsInt();
+  // Leaves, and scoped forms whose bodies may read their own locals
+  // (comprehensions, quantifiers, reduce): clone as-is.
+  return CloneExpr(e);
 }
 
 }  // namespace
@@ -113,19 +118,27 @@ bool ProjectionAggregates(const ProjectionBody& body) {
 // ---- AggregationState -------------------------------------------------------
 
 struct AggregationState::Impl {
+  /// One aggregate sub-expression of an item, its argument bound to the
+  /// input slots (empty for count(*)).
+  struct Slot {
+    std::string fn;  // "count", "sum", ... or "count(*)"
+    bool distinct = false;
+    BoundExpr arg;
+  };
   struct Item {
     std::string name;
-    const Expr* expr = nullptr;  // original expression (null: copy field)
-    int field_index = -1;        // input column when expr == nullptr
+    int field_index = -1;  // `*` item: copy this input column
     bool aggregating = false;
-    ExprPtr rewritten;           // with aggregates extracted (if aggregating)
-    std::vector<AggSlot> slots;  // this item's aggregate sub-expressions
+    BoundExpr key;         // non-aggregating: the grouping-key expression
+    ExprPtr rewritten;     // aggregating: aggregates replaced by `#aggN`
+    BoundExpr finish;      // `rewritten` over the representative + aggs
+    std::vector<Slot> slots;
   };
-  /// The immutable part of the plan (item resolution, the rewritten
-  /// aggregate expressions, the output schema) — shared between Fork()ed
-  /// states so per-partition states pay no re-planning.
+  /// The immutable part of the plan (item resolution, the bound and
+  /// rewritten aggregate expressions, the output schema) — shared between
+  /// Fork()ed states so per-partition states pay no re-planning.
   struct Shape {
-    std::vector<std::string> input_fields;
+    size_t num_input_fields = 0;
     std::vector<Item> items;
     std::vector<std::string> out_fields;
     bool has_keys = false;
@@ -162,15 +175,15 @@ struct AggregationState::Impl {
   /// items) into `key`. Static so the partitioned wrapper can build the
   /// key ONCE, route on its hash, and hand it to the owning partition.
   static Status BuildKey(const Shape& shape, const ValueList& row,
-                         const Environment& env, const EvalContext& ctx,
-                         ValueList* key) {
+                         const EvalContext& ctx, ValueList* key) {
     key->clear();
+    BoundRow in{&row};
     for (const auto& it : shape.items) {
       if (it.aggregating) continue;
-      if (it.expr == nullptr) {
+      if (it.field_index >= 0) {
         key->push_back(row[it.field_index]);
       } else {
-        GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*it.expr, env, ctx));
+        GQL_ASSIGN_OR_RETURN(Value v, it.key.Eval(in, ctx));
         key->push_back(std::move(v));
       }
     }
@@ -178,14 +191,15 @@ struct AggregationState::Impl {
   }
 
   /// Folds one row's aggregate arguments into a group's accumulators.
-  Status AccumulateSlots(Group& g, const Environment& env,
+  Status AccumulateSlots(Group& g, const ValueList& row,
                          const EvalContext& ctx) {
     size_t slot_idx = 0;
+    BoundRow in{&row};
     for (const auto& it : shape->items) {
       for (const auto& slot : it.slots) {
         Value v = Value::Bool(true);  // row marker for count(*)
-        if (slot.arg != nullptr) {
-          GQL_ASSIGN_OR_RETURN(v, EvaluateExpr(*slot.arg, env, ctx));
+        if (!slot.arg.empty()) {
+          GQL_ASSIGN_OR_RETURN(v, slot.arg.Eval(in, ctx));
         }
         GQL_RETURN_IF_ERROR(g.aggs[slot_idx]->Accumulate(v));
         ++slot_idx;
@@ -197,8 +211,7 @@ struct AggregationState::Impl {
   /// Probes/creates the group for an already-built key and folds the row
   /// in. New groups record `stamp` (their global first occurrence).
   Status AccumulateKeyed(const ValueList& key, const ValueList& row,
-                         const Environment& env, const EvalContext& ctx,
-                         GroupStamp stamp) {
+                         const EvalContext& ctx, GroupStamp stamp) {
     auto pos = index.find(key);
     if (pos == index.end()) {
       Group g;
@@ -209,7 +222,7 @@ struct AggregationState::Impl {
       pos = index.emplace(key, groups.size()).first;
       groups.push_back(std::move(g));
     }
-    return AccumulateSlots(groups[pos->second], env, ctx);
+    return AccumulateSlots(groups[pos->second], row, ctx);
   }
 };
 
@@ -223,11 +236,13 @@ const std::vector<std::string>& AggregationState::out_fields() const {
   return impl_->shape->out_fields;
 }
 
-Result<AggregationState> AggregationState::Plan(
-    const ProjectionBody& body, const std::vector<std::string>& input_fields) {
+AggregationState AggregationState::Plan(
+    const ProjectionBody& body, const std::vector<std::string>& input_fields,
+    BindTable* table) {
   AggregationState state;
   auto shape = std::make_shared<Impl::Shape>();
-  shape->input_fields = input_fields;
+  shape->num_input_fields = input_fields.size();
+  const BindScope in_scope{&input_fields};
   // `*` expands to the visible input fields, in order (planner-hidden
   // '#...' columns are internal and never projected).
   if (body.star) {
@@ -237,16 +252,28 @@ Result<AggregationState> AggregationState::Plan(
       Impl::Item it;
       it.name = f;
       it.field_index = static_cast<int>(i);
-      shape->items.push_back(std::move(it));  // expr == nullptr: copy field
+      shape->items.push_back(std::move(it));
     }
   }
   for (const auto& item : body.items) {
     Impl::Item it;
     it.name = item.alias ? *item.alias : DerivedColumnName(*item.expr);
-    it.expr = item.expr.get();
     it.aggregating = ContainsAggregate(*item.expr);
     if (it.aggregating) {
-      it.rewritten = ExtractAggregates(*item.expr, &it.slots);
+      std::vector<AggSlot> slots;
+      it.rewritten = ExtractAggregates(*item.expr, &slots);
+      for (const AggSlot& s : slots) {
+        Impl::Slot bound{s.fn, s.distinct, BoundExpr()};
+        if (s.arg != nullptr) {
+          bound.arg = BoundExpr::Bind(*s.arg, in_scope, table);
+        }
+        it.slots.push_back(std::move(bound));
+      }
+      it.finish = BoundExpr::Bind(
+          *it.rewritten, BindScope{&input_fields, nullptr, slots.size()},
+          table);
+    } else {
+      it.key = BoundExpr::Bind(*item.expr, in_scope, table);
     }
     shape->items.push_back(std::move(it));
   }
@@ -276,7 +303,6 @@ Status AggregationState::AccumulateRow(const ValueList& row,
                                        const EvalContext& ctx,
                                        GroupStamp stamp) {
   Impl& im = *impl_;
-  SchemaRowEnvironment env(im.shape->input_fields, row);
   if (!im.shape->has_keys) {
     // Global aggregation: every row lands in the single group — no key to
     // build, hash or probe.
@@ -287,15 +313,14 @@ Status AggregationState::AccumulateRow(const ValueList& row,
       GQL_ASSIGN_OR_RETURN(g.aggs, im.MakeGroupAggs());
       im.groups.push_back(std::move(g));
     }
-    return im.AccumulateSlots(im.groups[0], env, ctx);
+    return im.AccumulateSlots(im.groups[0], row, ctx);
   }
   // Group by the values of the non-aggregating items (§3: "the first
   // expression, r, is a non-aggregating expression and therefore acts
   // as an implicit grouping key"). The key is built in a reused scratch
   // buffer; the existing-group path allocates nothing.
-  GQL_RETURN_IF_ERROR(
-      Impl::BuildKey(*im.shape, row, env, ctx, &im.key_scratch));
-  return im.AccumulateKeyed(im.key_scratch, row, env, ctx, stamp);
+  GQL_RETURN_IF_ERROR(Impl::BuildKey(*im.shape, row, ctx, &im.key_scratch));
+  return im.AccumulateKeyed(im.key_scratch, row, ctx, stamp);
 }
 
 Status AggregationState::MergeFrom(AggregationState&& other) {
@@ -357,34 +382,29 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx,
   }
 
   Table output(im.shape->out_fields);
-  Table rep_fields(im.shape->input_fields);  // representative env fields
-  const Table no_fields((std::vector<std::string>()));
+  ValueList agg_values;
   for (Impl::Group& g : im.groups) {
-    ValueList agg_values;
+    agg_values.clear();
     for (auto& agg : g.aggs) {
       GQL_ASSIGN_OR_RETURN(Value v, agg->Finish());
       agg_values.push_back(std::move(v));
     }
     // The neutral group of an empty keyless input has no representative;
-    // its environment must resolve nothing (not index into an empty row).
-    bool has_rep =
-        g.representative.size() == im.shape->input_fields.size();
-    RowEnvironment rep_env(has_rep ? rep_fields : no_fields,
-                           g.representative);
+    // its variables must resolve to nothing (not index into an empty row).
+    bool has_rep = g.representative.size() == im.shape->num_input_fields;
     ValueList out_row;
+    out_row.reserve(im.shape->items.size());
     size_t key_idx = 0;
     size_t slot_base = 0;
     for (const auto& it : im.shape->items) {
       if (!it.aggregating) {
         out_row.push_back(g.key[key_idx++]);
       } else {
-        // Offset this item's placeholders into the global slot vector:
-        // placeholders were numbered per item starting at its base.
-        ValueList local(agg_values.begin() + slot_base,
-                        agg_values.begin() + slot_base + it.slots.size());
-        AggEnvironment item_env(rep_env, local);
-        GQL_ASSIGN_OR_RETURN(Value v,
-                             EvaluateExpr(*it.rewritten, item_env, ctx));
+        // This item's placeholders #agg0.. index its own slice of the
+        // group's aggregate values.
+        BoundRow rep{has_rep ? &g.representative : nullptr, nullptr,
+                     agg_values.data() + slot_base, it.slots.size()};
+        GQL_ASSIGN_OR_RETURN(Value v, it.finish.Eval(rep, ctx));
         out_row.push_back(std::move(v));
         slot_base += it.slots.size();
       }
@@ -409,85 +429,228 @@ Status PartitionedAggregationState::AccumulateRow(const ValueList& row,
                                                   const EvalContext& ctx,
                                                   GroupStamp stamp) {
   const AggregationState::Impl::Shape& shape = *parts_[0].impl_->shape;
-  SchemaRowEnvironment env(shape.input_fields, row);
-  GQL_RETURN_IF_ERROR(AggregationState::Impl::BuildKey(shape, row, env, ctx,
-                                                       &key_scratch_));
+  GQL_RETURN_IF_ERROR(
+      AggregationState::Impl::BuildKey(shape, row, ctx, &key_scratch_));
   // RowHash is the same equivalence-consistent hash the group index
   // probes with, so equivalent keys (1 vs 1.0) cannot split across
   // partitions and create duplicate groups.
   size_t p = RowHash(key_scratch_) % parts_.size();
-  return parts_[p].impl_->AccumulateKeyed(key_scratch_, row, env, ctx, stamp);
+  return parts_[p].impl_->AccumulateKeyed(key_scratch_, row, ctx, stamp);
 }
 
 // ---- Post-projection tail ---------------------------------------------------
 
-Result<ValueList> OrderKeysForRow(const ProjectionBody& body,
-                                  const Table& output, const ValueList& row,
-                                  const ValueList* source, const Table* input,
-                                  const EvalContext& ctx) {
-  RowEnvironment out_env(output, row);
-  std::unique_ptr<RowEnvironment> in_env;
-  std::unique_ptr<MergedRowEnvironment> merged;
-  const Environment* env = &out_env;
-  if (source != nullptr && input != nullptr) {
-    in_env = std::make_unique<RowEnvironment>(*input, *source);
-    merged = std::make_unique<MergedRowEnvironment>(out_env, *in_env);
-    env = merged.get();
+Table SliceRows(Table t, const SkipLimitBounds& b) {
+  Table limited(t.fields());
+  int64_t n = static_cast<int64_t>(t.NumRows());
+  int64_t end = n;
+  if (b.limit >= 0 && b.skip < n && b.limit < n - b.skip) {
+    end = b.skip + b.limit;  // cannot overflow: stays below n
   }
-  ValueList keys;
-  keys.reserve(body.order_by.size());
+  for (int64_t i = b.skip; i < end; ++i) {
+    limited.AddRow(std::move(t.mutable_rows()[i]));
+  }
+  return limited;
+}
+
+uint64_t TopKBound(const Result<SkipLimitBounds>& bounds) {
+  if (!bounds.ok() || bounds->limit < 0) return UINT64_MAX;
+  return static_cast<uint64_t>(bounds->skip) +
+         static_cast<uint64_t>(bounds->limit);
+}
+
+// ---- BoundProjection --------------------------------------------------------
+
+struct BoundProjection::Impl {
+  struct Item {
+    int field = -1;  // `*` item: copy this input column
+    BoundExpr expr;
+  };
+  struct OrderKey {
+    int column = -1;  // alias: the projected column the key names
+    int computed = -1;  // otherwise: its position in the OrderKeys list
+    BoundExpr expr;
+    bool ascending = true;
+  };
+  const ProjectionBody* body = nullptr;
+  std::vector<std::string> out_fields;
+  std::vector<Item> items;                // non-aggregating bodies
+  std::optional<AggregationState> agg;    // aggregating bodies
+  std::vector<OrderKey> order;
+  BoundExpr where;
+  BoundExpr skip;
+  BoundExpr limit;
+};
+
+BoundProjection::BoundProjection() : impl_(std::make_unique<Impl>()) {}
+BoundProjection::BoundProjection(BoundProjection&&) noexcept = default;
+BoundProjection& BoundProjection::operator=(BoundProjection&&) noexcept =
+    default;
+BoundProjection::~BoundProjection() = default;
+
+BoundProjection BoundProjection::Bind(
+    const ProjectionBody& body, const std::vector<std::string>& input_fields,
+    const Expr* where, BindTable* table) {
+  BoundProjection p;
+  Impl& im = *p.impl_;
+  im.body = &body;
+  const BindScope in_scope{&input_fields};
+  bool aggregating = ProjectionAggregates(body);
+  if (aggregating) {
+    im.agg.emplace(AggregationState::Plan(body, input_fields, table));
+    im.out_fields = im.agg->out_fields();
+  } else {
+    // `*` expands to the visible input fields, in order.
+    if (body.star) {
+      for (size_t i = 0; i < input_fields.size(); ++i) {
+        const std::string& f = input_fields[i];
+        if (!f.empty() && f[0] == '#') continue;
+        im.out_fields.push_back(f);
+        im.items.push_back({static_cast<int>(i), BoundExpr()});
+      }
+    }
+    for (const auto& item : body.items) {
+      im.out_fields.push_back(item.alias ? *item.alias
+                                         : DerivedColumnName(*item.expr));
+      im.items.push_back({-1, BoundExpr::Bind(*item.expr, in_scope, table)});
+    }
+  }
+  // ORDER BY sees the output row, then (non-aggregating bodies only) the
+  // pre-projection row.
+  const BindScope order_scope{&im.out_fields,
+                              aggregating ? nullptr : &input_fields};
+  int computed = 0;
   for (const auto& o : body.order_by) {
+    Impl::OrderKey key;
+    key.ascending = o.ascending;
     // An ORDER BY expression that textually matches a projected column
     // (e.g. ORDER BY p.acmid after RETURN p.acmid, count(*)) refers to
     // that column, like Cypher's alias resolution.
-    int col = output.FieldIndex(DerivedColumnName(*o.expr));
-    if (col >= 0) {
-      keys.push_back(row[col]);
-      continue;
+    std::string text = DerivedColumnName(*o.expr);
+    for (size_t i = 0; i < im.out_fields.size(); ++i) {
+      if (im.out_fields[i] == text) {
+        key.column = static_cast<int>(i);
+        break;
+      }
     }
-    GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*o.expr, *env, ctx));
+    if (key.column < 0) {
+      key.computed = computed++;
+      key.expr = BoundExpr::Bind(*o.expr, order_scope, table);
+    }
+    im.order.push_back(std::move(key));
+  }
+  if (where != nullptr) {
+    im.where = BoundExpr::Bind(*where, BindScope{&im.out_fields}, table);
+  }
+  if (body.skip) im.skip = BoundExpr::Bind(*body.skip, BindScope{}, table);
+  if (body.limit) im.limit = BoundExpr::Bind(*body.limit, BindScope{}, table);
+  return p;
+}
+
+const ProjectionBody& BoundProjection::body() const { return *impl_->body; }
+
+const std::vector<std::string>& BoundProjection::out_fields() const {
+  return impl_->out_fields;
+}
+
+bool BoundProjection::aggregates() const { return impl_->agg.has_value(); }
+
+AggregationState BoundProjection::NewAggregation() const {
+  return impl_->agg->Fork();
+}
+
+Result<ValueList> BoundProjection::MapRow(const ValueList& row,
+                                          const EvalContext& ctx,
+                                          ValueList* keys) const {
+  BoundRow in{&row};
+  ValueList out_row;
+  out_row.reserve(impl_->items.size());
+  for (const auto& it : impl_->items) {
+    if (it.field >= 0) {
+      out_row.push_back(row[it.field]);
+    } else {
+      GQL_ASSIGN_OR_RETURN(Value v, it.expr.Eval(in, ctx));
+      out_row.push_back(std::move(v));
+    }
+  }
+  if (keys != nullptr) {
+    // Same-pass keying, while the source row is still in reach.
+    GQL_ASSIGN_OR_RETURN(*keys, OrderKeys(out_row, &row, ctx));
+  }
+  return out_row;
+}
+
+Result<ValueList> BoundProjection::OrderKeys(const ValueList& row,
+                                             const ValueList* source,
+                                             const EvalContext& ctx) const {
+  BoundRow env{&row, source};
+  ValueList keys;
+  for (const auto& k : impl_->order) {
+    if (k.column >= 0) continue;
+    GQL_ASSIGN_OR_RETURN(Value v, k.expr.Eval(env, ctx));
     keys.push_back(std::move(v));
   }
   return keys;
 }
 
-int CompareOrderKeys(const ProjectionBody& body, const ValueList& a,
-                     const ValueList& b) {
-  for (size_t i = 0; i < body.order_by.size(); ++i) {
-    int c = ValueOrder(a[i], b[i]);
-    if (c != 0) return body.order_by[i].ascending ? c : -c;
+int BoundProjection::Compare(const ValueList& row_a, const ValueList& keys_a,
+                             const ValueList& row_b,
+                             const ValueList& keys_b) const {
+  for (const auto& k : impl_->order) {
+    int c = k.column >= 0
+                ? ValueOrder(row_a[k.column], row_b[k.column])
+                : ValueOrder(keys_a[k.computed], keys_b[k.computed]);
+    if (c != 0) return k.ascending ? c : -c;
   }
   return 0;
 }
 
-Result<SkipLimitBounds> EvaluateSkipLimit(const ProjectionBody& body,
-                                          const EvalContext& ctx) {
-  SkipLimitBounds b;
-  if (body.skip) {
-    GQL_ASSIGN_OR_RETURN(b.skip, EvalCount(*body.skip, ctx, "SKIP"));
+namespace {
+
+Result<int64_t> EvalCount(const BoundExpr& e, const EvalContext& ctx,
+                          const char* what) {
+  GQL_ASSIGN_OR_RETURN(Value v, e.Eval(BoundRow{}, ctx));
+  if (!v.is_int() || v.AsInt() < 0) {
+    return Status::EvaluationError(std::string(what) +
+                                   " must be a non-negative integer");
   }
-  if (body.limit) {
-    GQL_ASSIGN_OR_RETURN(b.limit, EvalCount(*body.limit, ctx, "LIMIT"));
+  return v.AsInt();
+}
+
+}  // namespace
+
+Result<SkipLimitBounds> BoundProjection::SkipLimit(
+    const EvalContext& ctx) const {
+  SkipLimitBounds b;
+  if (!impl_->skip.empty()) {
+    GQL_ASSIGN_OR_RETURN(b.skip, EvalCount(impl_->skip, ctx, "SKIP"));
+  }
+  if (!impl_->limit.empty()) {
+    GQL_ASSIGN_OR_RETURN(b.limit, EvalCount(impl_->limit, ctx, "LIMIT"));
   }
   return b;
 }
 
-Result<Table> ApplyProjectionTail(
-    const ProjectionBody& body, Table output,
-    const std::vector<const ValueList*>* source_rows, const Table* input,
-    const EvalContext& ctx) {
+Result<Table> BoundProjection::Tail(
+    Table output, const std::vector<const ValueList*>* source_rows,
+    const EvalContext& ctx) const {
+  const ProjectionBody& body = *impl_->body;
   if (body.distinct) {
     // ε after projection; source-row pairing is dropped (ORDER BY then
     // sees only the projected columns, as in Cypher).
     output = output.Deduplicated();
     source_rows = nullptr;
   }
+  const bool sliced = body.skip || body.limit;
+  // Evaluated once, after the ORDER BY keys: a key error surfaces first,
+  // as before bounding the sort.
+  std::optional<Result<SkipLimitBounds>> bounds;
 
-  // ORDER BY.
   if (!body.order_by.empty()) {
     struct Keyed {
       ValueList row;
       ValueList keys;
+      size_t pos = 0;
     };
     std::vector<Keyed> keyed;
     keyed.reserve(output.NumRows());
@@ -497,104 +660,79 @@ Result<Table> ApplyProjectionTail(
           source_rows != nullptr && i < source_rows->size()
               ? (*source_rows)[i]
               : nullptr;
-      GQL_ASSIGN_OR_RETURN(
-          ValueList keys, OrderKeysForRow(body, output, row, source, input,
-                                          ctx));
+      GQL_ASSIGN_OR_RETURN(ValueList keys, OrderKeys(row, source, ctx));
       // Keys are computed; the row itself can move out of the table.
-      keyed.push_back(Keyed{std::move(row), std::move(keys)});
+      keyed.push_back(Keyed{std::move(row), std::move(keys), i});
     }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       return CompareOrderKeys(body, a.keys, b.keys) < 0;
-                     });
+    uint64_t topk = UINT64_MAX;
+    if (sliced) {
+      bounds.emplace(SkipLimit(ctx));
+      topk = TopKBound(*bounds);
+    }
+    SortTopK(&keyed, topk, [this](const Keyed& a, const Keyed& b) {
+      int c = Compare(a.row, a.keys, b.row, b.keys);
+      return c != 0 ? c < 0 : a.pos < b.pos;
+    });
     Table sorted(output.fields());
     for (auto& k : keyed) sorted.AddRow(std::move(k.row));
     output = std::move(sorted);
   }
 
-  // SKIP / LIMIT.
-  if (body.skip || body.limit) {
-    GQL_ASSIGN_OR_RETURN(SkipLimitBounds bounds, EvaluateSkipLimit(body, ctx));
-    Table limited(output.fields());
-    int64_t n = static_cast<int64_t>(output.NumRows());
-    int64_t end = bounds.limit < 0 ? n : std::min(n, bounds.skip + bounds.limit);
-    for (int64_t i = bounds.skip; i < end; ++i) {
-      limited.AddRow(std::move(output.mutable_rows()[i]));
-    }
-    output = std::move(limited);
+  if (sliced) {
+    if (!bounds.has_value()) bounds.emplace(SkipLimit(ctx));
+    GQL_ASSIGN_OR_RETURN(SkipLimitBounds b, std::move(*bounds));
+    output = SliceRows(std::move(output), b);
   }
-
   return output;
+}
+
+Result<Table> BoundProjection::FilterWhere(Table result,
+                                           const EvalContext& ctx) const {
+  if (impl_->where.empty()) return result;
+  Table filtered(result.fields());
+  for (auto& r : result.mutable_rows()) {
+    GQL_ASSIGN_OR_RETURN(Tri keep,
+                         impl_->where.EvalPredicate(BoundRow{&r}, ctx));
+    if (keep == Tri::kTrue) filtered.AddRow(std::move(r));
+  }
+  return filtered;
+}
+
+Result<Table> BoundProjection::Evaluate(const Table& input,
+                                        const EvalContext& ctx) const {
+  Table result;
+  if (aggregates()) {
+    AggregationState state = NewAggregation();
+    GQL_RETURN_IF_ERROR(state.Accumulate(input, ctx));
+    GQL_ASSIGN_OR_RETURN(Table grouped, state.Finish(ctx));
+    GQL_ASSIGN_OR_RETURN(result, Tail(std::move(grouped), nullptr, ctx));
+  } else {
+    Table output(out_fields());
+    output.mutable_rows().reserve(input.NumRows());
+    // Track the input row that produced each output row (for ORDER BY on
+    // pre-projection variables).
+    std::vector<const ValueList*> source_rows;
+    source_rows.reserve(input.NumRows());
+    for (const auto& row : input.rows()) {
+      GQL_ASSIGN_OR_RETURN(ValueList out, MapRow(row, ctx, nullptr));
+      output.AddRow(std::move(out));
+      source_rows.push_back(&row);
+    }
+    GQL_ASSIGN_OR_RETURN(result,
+                         Tail(std::move(output), &source_rows, ctx));
+  }
+  return FilterWhere(std::move(result), ctx);
 }
 
 // ---- EvaluateProjection -----------------------------------------------------
 
-Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
-                          const EvalContext& ctx,
-                          std::vector<ValueList>* keys) {
-  // Non-aggregating map: one output row per input row. `*` expands to all
-  // input fields (in order).
-  struct Item {
-    std::string name;
-    const Expr* expr = nullptr;  // null: copy the named input field
-  };
-  std::vector<Item> items;
-  if (body.star) {
-    for (const auto& f : input.fields()) items.push_back({f, nullptr});
-  }
-  for (const auto& item : body.items) {
-    items.push_back(
-        {item.alias ? *item.alias : DerivedColumnName(*item.expr),
-         item.expr.get()});
-  }
-  std::vector<std::string> out_fields;
-  for (const auto& it : items) out_fields.push_back(it.name);
-  Table output(out_fields);
-
-  for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
-    ValueList out_row;
-    out_row.reserve(items.size());
-    for (const auto& it : items) {
-      if (it.expr == nullptr) {
-        out_row.push_back(row[input.FieldIndex(it.name)]);
-      } else {
-        GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*it.expr, env, ctx));
-        out_row.push_back(std::move(v));
-      }
-    }
-    if (keys != nullptr) {
-      // Same-pass keying: the output row's ORDER BY keys against the
-      // merged output-shadows-input environment, before the source row
-      // goes out of reach of the merge stage.
-      GQL_ASSIGN_OR_RETURN(
-          ValueList k,
-          OrderKeysForRow(body, output, out_row, &row, &input, ctx));
-      keys->push_back(std::move(k));
-    }
-    output.AddRow(std::move(out_row));
-  }
-  return output;
-}
-
 Result<Table> EvaluateProjection(const ProjectionBody& body,
                                  const Table& input, const EvalContext& ctx) {
-  if (ProjectionAggregates(body)) {
-    GQL_ASSIGN_OR_RETURN(AggregationState state,
-                         AggregationState::Plan(body, input.fields()));
-    GQL_RETURN_IF_ERROR(state.Accumulate(input, ctx));
-    GQL_ASSIGN_OR_RETURN(Table output, state.Finish(ctx));
-    return ApplyProjectionTail(body, std::move(output), nullptr, &input, ctx);
-  }
-
-  GQL_ASSIGN_OR_RETURN(Table output, ProjectRows(body, input, ctx, nullptr));
-  // Track the input row that produced each output row (for ORDER BY on
-  // pre-projection variables).
-  std::vector<const ValueList*> source_rows;
-  source_rows.reserve(input.NumRows());
-  for (const auto& row : input.rows()) source_rows.push_back(&row);
-  return ApplyProjectionTail(body, std::move(output), &source_rows, &input,
-                             ctx);
+  BindTable table;
+  BoundProjection p =
+      BoundProjection::Bind(body, input.fields(), nullptr, &table);
+  table.Resolve(ctx.graph, ctx.parameters);
+  return p.Evaluate(input, ctx);
 }
 
 }  // namespace gqlite

@@ -1,11 +1,14 @@
 #ifndef GQLITE_INTERP_PROJECTION_H_
 #define GQLITE_INTERP_PROJECTION_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/eval/bound_expr.h"
 #include "src/frontend/ast.h"
 #include "src/interp/table.h"
 
@@ -26,6 +29,9 @@ namespace gqlite {
 ///
 /// ORDER BY sees the projected columns; for non-aggregating projections it
 /// may also reference the pre-projection variables (output shadows input).
+///
+/// The interpreter's entry point: binds the body to `input`'s fields on
+/// entry (BoundProjection below) and resolves it against `ctx`.
 Result<Table> EvaluateProjection(const ast::ProjectionBody& body,
                                  const Table& input, const EvalContext& ctx);
 
@@ -50,19 +56,21 @@ inline bool operator<(const GroupStamp& a, const GroupStamp& b) {
 /// machinery behind EvaluateProjection's aggregate path, exposed so the
 /// morsel-driven parallel runtime can aggregate per worker and merge.
 ///
-/// Protocol: every partition Plan()s its own state against its input
-/// fields, Accumulate()s its share of the rows, and the merge stage folds
+/// Protocol: a state is Plan()ned once against its input fields (binding
+/// grouping keys, aggregate arguments and the rewritten items into
+/// `table`, which the caller resolves before accumulating); partitions
+/// Fork() it, Accumulate() their share of the rows, and the merge stage folds
 /// the partials together with MergeFrom() *in partition (input) order* —
 /// that order makes collect(), DISTINCT first-occurrence, group output
 /// order and representative-row choice identical to a serial run over the
 /// concatenated input. Finish() then produces the grouped rows (one per
 /// group, plus the neutral row for empty keyless input), to be
-/// post-processed by ApplyProjectionTail.
+/// post-processed by BoundProjection::Tail.
 class AggregationState {
  public:
-  static Result<AggregationState> Plan(
-      const ast::ProjectionBody& body,
-      const std::vector<std::string>& input_fields);
+  static AggregationState Plan(const ast::ProjectionBody& body,
+                               const std::vector<std::string>& input_fields,
+                               BindTable* table);
 
   AggregationState(AggregationState&&) noexcept;
   AggregationState& operator=(AggregationState&&) noexcept;
@@ -145,49 +153,6 @@ class PartitionedAggregationState {
   ValueList key_scratch_;
 };
 
-/// The shared post-projection pipeline: DISTINCT, ORDER BY, SKIP / LIMIT
-/// over already-projected rows. `source_rows` (optional, sized to
-/// `output`) pairs each output row with the input row that produced it so
-/// ORDER BY in non-aggregating projections can reference pre-projection
-/// variables (`input` supplies their fields); aggregated output passes
-/// nullptr.
-Result<Table> ApplyProjectionTail(
-    const ast::ProjectionBody& body, Table output,
-    const std::vector<const ValueList*>* source_rows, const Table* input,
-    const EvalContext& ctx);
-
-/// The map stage of a NON-aggregating projection body over a chunk of
-/// input rows: one output row per input row, with no tail (DISTINCT /
-/// ORDER BY / SKIP / LIMIT) applied. When `keys` is non-null, each output
-/// row's ORDER BY key row is computed in the same pass — against the
-/// merged output-shadows-input environment, exactly as ApplyProjectionTail
-/// computes it. Exposed so the parallel runtime can project and key scan
-/// ranges on their workers and keep only sort keys (not pre-projection
-/// rows) alive into the merge; ApplyProjectionTail shares the per-row key
-/// helper below, so the two paths cannot drift.
-Result<Table> ProjectRows(const ast::ProjectionBody& body, const Table& input,
-                          const EvalContext& ctx,
-                          std::vector<ValueList>* keys);
-
-/// The ORDER BY key row of one projected row. A key expression that
-/// textually matches a projected column resolves to that column (alias
-/// resolution); others evaluate against the output row, with `source` /
-/// `input` (both optional) supplying the pre-projection variables (output
-/// shadows input). Pass source == nullptr for aggregated or
-/// post-DISTINCT rows, which have no source pairing.
-Result<ValueList> OrderKeysForRow(const ast::ProjectionBody& body,
-                                  const Table& output, const ValueList& row,
-                                  const ValueList* source, const Table* input,
-                                  const EvalContext& ctx);
-
-/// Three-way comparison of two precomputed ORDER BY key rows under
-/// `body`'s sort spec (per-key ascending/descending over ValueOrder).
-/// Returns <0 / 0 / >0. Ties (0) are broken by the caller on original
-/// input position, which is what makes the parallel merge sort reproduce
-/// std::stable_sort byte-for-byte.
-int CompareOrderKeys(const ast::ProjectionBody& body, const ValueList& a,
-                     const ValueList& b);
-
 /// Evaluated SKIP/LIMIT bounds of a projection body: skip = 0 and
 /// limit = -1 (unbounded) when absent. Errors carry the serial messages
 /// ("SKIP must be a non-negative integer").
@@ -195,8 +160,109 @@ struct SkipLimitBounds {
   int64_t skip = 0;
   int64_t limit = -1;
 };
-Result<SkipLimitBounds> EvaluateSkipLimit(const ast::ProjectionBody& body,
-                                          const EvalContext& ctx);
+
+/// Rows [skip, skip + limit) of `t` (limit < 0: through the end).
+Table SliceRows(Table t, const SkipLimitBounds& b);
+
+/// How many sorted rows a SKIP/LIMIT can ever surface: skip + limit, or
+/// UINT64_MAX when unbounded — or when the bounds failed to evaluate, so
+/// the caller sorts everything and its slice raises the error at the
+/// serial point (after the ORDER BY keys).
+uint64_t TopKBound(const Result<SkipLimitBounds>& bounds);
+
+/// Sorts `rows` under the strict total order `less` and keeps the first
+/// `k`: a bounded std::partial_sort when `k` cuts the input. Exact
+/// because `less` is total (callers break key ties on input position).
+template <typename T, typename Less>
+void SortTopK(std::vector<T>* rows, uint64_t k, Less less) {
+  if (k < rows->size()) {
+    auto mid = rows->begin() + static_cast<std::ptrdiff_t>(k);
+    std::partial_sort(rows->begin(), mid, rows->end(), less);
+    rows->erase(mid, rows->end());
+  } else {
+    std::sort(rows->begin(), rows->end(), less);
+  }
+}
+
+/// A RETURN/WITH body bound once to its input fields — at plan time for
+/// ProjectionOp, on entry for the interpreter. Items are bound
+/// expressions over the input slots (`*` copies the visible input
+/// fields), each ORDER BY key is either the projected column it names
+/// (alias resolution: the key's text equals a column name) or a bound
+/// expression over the output row then the pre-projection row, the WITH
+/// ... WHERE filter reads the output row, and SKIP / LIMIT are bound with
+/// no row scope. Evaluating it never resolves a name.
+class BoundProjection {
+ public:
+  /// Binds `body` (and the optional WITH ... WHERE `where`) against
+  /// `input_fields`; keys, labels and parameters go into `table`, which
+  /// the caller resolves before evaluating.
+  static BoundProjection Bind(const ast::ProjectionBody& body,
+                              const std::vector<std::string>& input_fields,
+                              const ast::Expr* where, BindTable* table);
+
+  BoundProjection(BoundProjection&&) noexcept;
+  BoundProjection& operator=(BoundProjection&&) noexcept;
+  ~BoundProjection();
+
+  const ast::ProjectionBody& body() const;
+  /// Output column names (one per projected item, `*` expanded).
+  const std::vector<std::string>& out_fields() const;
+  bool aggregates() const;
+
+  /// The whole projection over a materialized input: the map or the
+  /// aggregation, the tail, and the WHERE filter.
+  Result<Table> Evaluate(const Table& input, const EvalContext& ctx) const;
+
+  /// The map stage of a NON-aggregating body for one input row, with no
+  /// tail. When `keys` is non-null it receives the row's computed ORDER
+  /// BY keys (OrderKeys) in the same pass — the parallel runtime projects
+  /// and keys each scan range on its worker and keeps only the keys, not
+  /// the pre-projection rows, alive into the merge.
+  Result<ValueList> MapRow(const ValueList& row, const EvalContext& ctx,
+                           ValueList* keys) const;
+
+  /// An empty aggregation state sharing the bound aggregation plan
+  /// (aggregating bodies only).
+  AggregationState NewAggregation() const;
+
+  /// DISTINCT, ORDER BY, SKIP / LIMIT over already-projected rows.
+  /// `source_rows` (optional, sized to `output`) pairs each output row
+  /// with the input row that produced it so ORDER BY in non-aggregating
+  /// projections can read pre-projection variables; aggregated output
+  /// passes nullptr. Under a LIMIT the sort is a bounded top-K (input
+  /// position breaks ties, so the result equals a stable sort's prefix).
+  Result<Table> Tail(Table output,
+                     const std::vector<const ValueList*>* source_rows,
+                     const EvalContext& ctx) const;
+
+  /// The computed ORDER BY keys of one projected row — those that are
+  /// not a projected column (alias keys are read from the row itself, so
+  /// an all-alias ORDER BY yields an empty, unallocated list). `source` is
+  /// the row's pre-projection row, or nullptr for aggregated or
+  /// post-DISTINCT rows.
+  Result<ValueList> OrderKeys(const ValueList& row, const ValueList* source,
+                              const EvalContext& ctx) const;
+
+  /// Three-way comparison of two projected rows with their OrderKeys
+  /// under the body's sort spec (per-key ascending/descending over
+  /// ValueOrder). Returns <0 / 0 / >0. Ties (0) are broken by the caller
+  /// on original input position, which is what makes the parallel merge
+  /// sort reproduce a stable sort byte-for-byte.
+  int Compare(const ValueList& row_a, const ValueList& keys_a,
+              const ValueList& row_b, const ValueList& keys_b) const;
+
+  /// Evaluated SKIP/LIMIT bounds.
+  Result<SkipLimitBounds> SkipLimit(const EvalContext& ctx) const;
+
+  /// Applies the WITH ... WHERE filter (no-op without one).
+  Result<Table> FilterWhere(Table result, const EvalContext& ctx) const;
+
+ private:
+  BoundProjection();
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace gqlite
 

@@ -33,10 +33,6 @@ struct ChainPlan {
 /// reference-matcher operator.
 bool PipelinePlannable(const ast::Pattern& pattern);
 
-/// Variables referenced by an expression (free variables, not counting
-/// list-comprehension iteration variables). Used for filter placement.
-std::vector<std::string> ExprVariables(const ast::Expr& e);
-
 /// Splits a predicate into its top-level AND conjuncts.
 std::vector<const ast::Expr*> SplitConjuncts(const ast::Expr& e);
 

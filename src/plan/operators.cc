@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/frontend/analyzer.h"
 #include "src/value/value_compare.h"
 
 namespace gqlite {
@@ -59,26 +58,35 @@ void ResolveTypeIds(const PropertyGraph& g, ExpandSpec* spec) {
 
 // ---- LazyPropWants ----------------------------------------------------------
 
-Result<bool> LazyPropWants::Ok(const ExecContext& ctx, const ExpandSpec& spec,
-                               const std::vector<std::string>& schema,
+BoundRelProps BoundRelProps::Bind(const ExpandSpec& spec,
+                                  const std::vector<std::string>& input_schema,
+                                  BindTable* table) {
+  BoundRelProps out;
+  if (spec.rel_props == nullptr) return out;
+  for (const auto& [key, expr] : *spec.rel_props) {
+    out.keys.push_back(table->KeyIndex(key));
+    out.values.push_back(
+        BoundExpr::Bind(*expr, BindScope{&input_schema}, table));
+  }
+  return out;
+}
+
+Result<bool> LazyPropWants::Ok(const ExecContext& ctx,
+                               const BoundRelProps& props,
                                const ValueList& row, RelId r) {
-  if (spec.rel_props == nullptr) return true;
-  const auto& props = *spec.rel_props;
-  for (size_t i = 0; i < props.size(); ++i) {
+  for (size_t i = 0; i < props.keys.size(); ++i) {
     if (i >= wants_.size()) {
       // Key i's constraint value is evaluated at the first candidate
       // that survives keys 0..i-1 — exactly when the per-candidate
       // reference check would evaluate it, so an erroring expression
       // behind a mismatching earlier key stays unevaluated.
-      SchemaRowEnvironment env(schema, row);
       GQL_ASSIGN_OR_RETURN(Value want,
-                           EvaluateExpr(*props[i].second, env, ctx.eval));
+                           props.values[i].Eval(BoundRow{&row}, ctx.eval));
       wants_.push_back(std::move(want));
     }
-    if (ValueEquals(ctx.graph->RelProperty(r, props[i].first), wants_[i]) !=
-        Tri::kTrue) {
-      return false;
-    }
+    const Value& have =
+        ctx.graph->RelPropertyById(r, ctx.binds.key(props.keys[i]));
+    if (ValueEquals(have, wants_[i]) != Tri::kTrue) return false;
   }
   return true;
 }
@@ -191,12 +199,13 @@ Result<bool> NodeByLabelScanOp::NextBatchImpl(RowBatch* out) {
 
 // ---- ExpandOp ---------------------------------------------------------------
 
-ExpandOp::ExpandOp(OperatorPtr child, const ExecContext* ctx, ExpandSpec spec)
+ExpandOp::ExpandOp(OperatorPtr child, ExecContext* ctx, ExpandSpec spec)
     : Operator(nullptr, {}), ctx_(ctx), spec_(std::move(spec)) {
   child_ = std::move(child);
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
+  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
 }
 
 Status ExpandOp::Open() {
@@ -204,6 +213,7 @@ Status ExpandOp::Open() {
   adj_pos_ = 0;
   props_.Reset();
   ResolveTypeIds(*ctx_->graph, &spec_);
+  ctx_->EnsureBindings();
   return child_->Open();
 }
 
@@ -215,8 +225,7 @@ Result<bool> ExpandOp::RelMatches(RelId r, const ValueList& row,
       RelAlreadyUsed(r, row, spec_.uniqueness_cols)) {
     return false;
   }
-  GQL_ASSIGN_OR_RETURN(bool props_ok,
-                       props_.Ok(*ctx_, spec_, child_->schema(), row, r));
+  GQL_ASSIGN_OR_RETURN(bool props_ok, props_.Ok(*ctx_, bound_props_, row, r));
   if (!props_ok) return false;
   if (spec_.bound_rel_col >= 0) {
     const Value& bound = row[spec_.bound_rel_col];
@@ -263,33 +272,22 @@ Result<bool> ExpandOp::NextBatchImpl(RowBatch* out) {
     NodeId from = from_v.AsNode();
     const auto& out_rels = g.OutRels(from);
     const auto& in_rels = g.InRels(from);
-    // Conceptual adjacency sequence: out rels then (when direction allows)
-    // in rels. Self-loops are skipped in the `in` half so undirected
+    // Adjacency sequence: only the half (or halves) the direction emits
+    // from — `->` the out-relationships, `<-` the in-relationships, `--`
+    // out then in, skipping self-loops in the in half so undirected
     // traversal sees them once.
-    size_t total = out_rels.size() + in_rels.size();
+    const bool walk_out = spec_.direction != ast::Direction::kLeft;
+    const bool walk_in = spec_.direction != ast::Direction::kRight;
+    const size_t out_n = walk_out ? out_rels.size() : 0;
+    const size_t total = out_n + (walk_in ? in_rels.size() : 0);
     while (adj_pos_ < total && !out->full()) {
       size_t i = adj_pos_++;
       RelId r;
-      bool from_out = i < out_rels.size();
-      if (from_out) {
+      if (i < out_n) {
         r = out_rels[i];
-        if (spec_.direction == ast::Direction::kLeft &&
-            g.Source(r) == g.Target(r)) {
-          // A self-loop also appears in `in`; let the `in` half handle it
-          // for left-pointing patterns.
-          continue;
-        }
-        if (spec_.direction == ast::Direction::kLeft &&
-            g.Target(r) != from) {
-          continue;
-        }
       } else {
-        r = in_rels[i - out_rels.size()];
-        if (spec_.direction != ast::Direction::kLeft &&
-            g.Source(r) == g.Target(r)) {
-          continue;  // self-loop handled in the `out` half
-        }
-        if (spec_.direction == ast::Direction::kRight) continue;
+        r = in_rels[i - out_n];
+        if (walk_out && g.Source(r) == g.Target(r)) continue;
       }
       NodeId next;
       GQL_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(r, *in, &next));
@@ -323,19 +321,21 @@ std::string ExpandOp::Describe() const {
 
 // ---- HashJoinExpandOp -------------------------------------------------------
 
-HashJoinExpandOp::HashJoinExpandOp(OperatorPtr child, const ExecContext* ctx,
+HashJoinExpandOp::HashJoinExpandOp(OperatorPtr child, ExecContext* ctx,
                                    ExpandSpec spec)
     : Operator(nullptr, {}), ctx_(ctx), spec_(std::move(spec)) {
   child_ = std::move(child);
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
+  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
 }
 
 Status HashJoinExpandOp::Open() {
   input_.Reset();
   probing_ = false;
   ResolveTypeIds(*ctx_->graph, &spec_);
+  ctx_->EnsureBindings();
   if (!built_) {
     // Build side: scan the entire relationship store (the indirection the
     // adjacency-based Expand avoids).
@@ -394,9 +394,8 @@ Result<bool> HashJoinExpandOp::NextBatchImpl(RowBatch* out) {
           continue;
         }
       }
-      GQL_ASSIGN_OR_RETURN(
-          bool props_ok,
-          props_.Ok(*ctx_, spec_, child_->schema(), *in, r));
+      GQL_ASSIGN_OR_RETURN(bool props_ok,
+                           props_.Ok(*ctx_, bound_props_, *in, r));
       if (!props_ok) continue;
       NodeId from = (*in)[spec_.from_col].AsNode();
       NodeId next = g.OtherEnd(r, from);
@@ -425,7 +424,7 @@ std::string HashJoinExpandOp::Describe() const {
 
 // ---- VarLengthExpandOp ------------------------------------------------------
 
-VarLengthExpandOp::VarLengthExpandOp(OperatorPtr child, const ExecContext* ctx,
+VarLengthExpandOp::VarLengthExpandOp(OperatorPtr child, ExecContext* ctx,
                                      ExpandSpec spec, int64_t min, int64_t max)
     : Operator(nullptr, {}), ctx_(ctx), spec_(std::move(spec)), min_(min),
       max_(max) {
@@ -433,6 +432,7 @@ VarLengthExpandOp::VarLengthExpandOp(OperatorPtr child, const ExecContext* ctx,
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
+  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
 }
 
 Status VarLengthExpandOp::Open() {
@@ -440,6 +440,7 @@ Status VarLengthExpandOp::Open() {
   pending_size_ = 0;
   pos_in_pending_ = 0;
   ResolveTypeIds(*ctx_->graph, &spec_);
+  ctx_->EnsureBindings();
   return child_->Open();
 }
 
@@ -457,11 +458,10 @@ ValueList& VarLengthExpandOp::NextPendingSlot() {
 Status VarLengthExpandOp::ExpandBatch() {
   const PropertyGraph& g = *ctx_->graph;
   pending_size_ = 0;
-  const std::vector<std::string>& in_schema = child_->schema();
   size_t n = input_.size();
 
   // Per-row lazily-hoisted relationship property constraint values.
-  std::vector<LazyPropWants> wants(spec_.rel_props != nullptr ? n : 0);
+  std::vector<LazyPropWants> wants(bound_props_.empty() ? 0 : n);
 
   auto emit = [&](uint32_t row_idx, NodeId target, const RelId* path,
                   size_t path_len) {
@@ -527,10 +527,9 @@ Status VarLengthExpandOp::ExpandBatch() {
             return Status::OK();
           }
         }
-        if (spec_.rel_props != nullptr) {
-          GQL_ASSIGN_OR_RETURN(
-              bool props_ok,
-              wants[e.row].Ok(*ctx_, spec_, in_schema, in, r));
+        if (!bound_props_.empty()) {
+          GQL_ASSIGN_OR_RETURN(bool props_ok,
+                               wants[e.row].Ok(*ctx_, bound_props_, in, r));
           if (!props_ok) return Status::OK();
         }
         NodeId src = g.Source(r);
@@ -616,14 +615,17 @@ std::string VarLengthExpandOp::Describe() const {
 
 // ---- FilterOp ---------------------------------------------------------------
 
-FilterOp::FilterOp(OperatorPtr child, const ExecContext* ctx,
-                   const ast::Expr* pred)
-    : Operator(nullptr, {}), ctx_(ctx), pred_(pred) {
+FilterOp::FilterOp(OperatorPtr child, ExecContext* ctx, const ast::Expr* pred)
+    : Operator(nullptr, {}), ctx_(ctx) {
   child_ = std::move(child);
   schema_ = child_->schema();
+  pred_ = BoundExpr::Bind(*pred, BindScope{&schema_}, &ctx_->binds);
 }
 
-Status FilterOp::Open() { return child_->Open(); }
+Status FilterOp::Open() {
+  ctx_->EnsureBindings();
+  return child_->Open();
+}
 
 Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
   while (true) {
@@ -631,9 +633,8 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     if (!ok) return false;
     keep_.clear();
     for (uint32_t i = 0; i < out->size(); ++i) {
-      SchemaRowEnvironment env(schema_, out->row(i));
-      GQL_ASSIGN_OR_RETURN(Tri keep,
-                           EvaluatePredicate(*pred_, env, ctx_->eval));
+      GQL_ASSIGN_OR_RETURN(
+          Tri keep, pred_.EvalPredicate(BoundRow{&out->row(i)}, ctx_->eval));
       if (keep == Tri::kTrue) keep_.push_back(i);
     }
     if (keep_.empty()) continue;  // whole morsel filtered out; pull more
@@ -642,9 +643,7 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
   }
 }
 
-std::string FilterOp::Describe() const {
-  return "Filter";  // predicate text available via UnparseExpr if needed
-}
+std::string FilterOp::Describe() const { return "Filter"; }
 
 // ---- ApplyOp ----------------------------------------------------------------
 
@@ -696,16 +695,18 @@ Result<bool> ApplyOp::NextBatchImpl(RowBatch* out) {
 
 // ---- UnwindOp ---------------------------------------------------------------
 
-UnwindOp::UnwindOp(OperatorPtr child, const ExecContext* ctx,
-                   const ast::Expr* expr, std::string var)
-    : Operator(nullptr, {}), ctx_(ctx), expr_(expr), var_(var) {
+UnwindOp::UnwindOp(OperatorPtr child, ExecContext* ctx, const ast::Expr* expr,
+                   std::string var)
+    : Operator(nullptr, {}), ctx_(ctx), var_(var) {
   child_ = std::move(child);
   schema_ = Extend(child_->schema(), {var});
+  expr_ = BoundExpr::Bind(*expr, BindScope{&child_->schema()}, &ctx_->binds);
 }
 
 Status UnwindOp::Open() {
   input_.Reset();
   row_ready_ = false;
+  ctx_->EnsureBindings();
   return child_->Open();
 }
 
@@ -715,8 +716,7 @@ Result<bool> UnwindOp::NextBatchImpl(RowBatch* out) {
                          input_.Current(child_.get(), out->capacity()));
     if (in == nullptr) break;
     if (!row_ready_) {
-      SchemaRowEnvironment env(child_->schema(), *in);
-      GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*expr_, env, ctx_->eval));
+      GQL_ASSIGN_OR_RETURN(Value v, expr_.Eval(BoundRow{in}, ctx_->eval));
       item_pos_ = 0;
       single_pending_ = false;
       if (v.is_list()) {
@@ -747,68 +747,19 @@ Result<bool> UnwindOp::NextBatchImpl(RowBatch* out) {
 
 // ---- ProjectionOp -----------------------------------------------------------
 
-ProjectionOp::ProjectionOp(OperatorPtr child, const ExecContext* ctx,
+ProjectionOp::ProjectionOp(OperatorPtr child, ExecContext* ctx,
                            const ast::ProjectionBody* body,
                            const ast::Expr* where,
                            std::vector<std::string> schema)
-    : Operator(nullptr, std::move(schema)), ctx_(ctx), body_(body),
-      where_(where) {
+    : Operator(nullptr, std::move(schema)),
+      ctx_(ctx),
+      proj_(BoundProjection::Bind(*body, child->schema(), where,
+                                  &ctx->binds)) {
   child_ = std::move(child);
 }
 
-Result<Table> ProjectionOp::FilterWhere(Table result) const {
-  if (where_ == nullptr) return result;
-  Table filtered(result.fields());
-  for (auto& r : result.mutable_rows()) {
-    RowEnvironment env(result, r);
-    GQL_ASSIGN_OR_RETURN(Tri keep,
-                         EvaluatePredicate(*where_, env, ctx_->eval));
-    if (keep == Tri::kTrue) filtered.AddRow(std::move(r));
-  }
-  return filtered;
-}
-
-namespace {
-
-/// `*` must not expose planner-hidden columns ('#...'): strip them before
-/// delegating to the shared projection machinery.
-Table StripHiddenColumns(Table input) {
-  bool has_hidden = false;
-  for (const auto& f : input.fields()) {
-    if (!f.empty() && f[0] == '#') has_hidden = true;
-  }
-  if (!has_hidden) return input;
-  std::vector<std::string> keep_fields;
-  std::vector<size_t> keep_idx;
-  for (size_t i = 0; i < input.fields().size(); ++i) {
-    if (input.fields()[i].empty() || input.fields()[i][0] != '#') {
-      keep_fields.push_back(input.fields()[i]);
-      keep_idx.push_back(i);
-    }
-  }
-  Table stripped(keep_fields);
-  for (auto& r : input.mutable_rows()) {
-    ValueList row;
-    row.reserve(keep_idx.size());
-    for (size_t i : keep_idx) row.push_back(std::move(r[i]));
-    stripped.AddRow(std::move(row));
-  }
-  return stripped;
-}
-
-}  // namespace
-
-Result<Table> ProjectionOp::ProjectTable(Table input) const {
-  if (body_->star) input = StripHiddenColumns(std::move(input));
-  GQL_ASSIGN_OR_RETURN(Table result,
-                       EvaluateProjection(*body_, input, ctx_->eval));
-  return FilterWhere(std::move(result));
-}
-
-Result<Table> ProjectionOp::ProjectChunk(Table input,
-                                         std::vector<ValueList>* keys) const {
-  if (body_->star) input = StripHiddenColumns(std::move(input));
-  return ProjectRows(*body_, input, ctx_->eval, keys);
+Result<Table> ProjectionOp::ProjectTable(const Table& input) const {
+  return proj_.Evaluate(input, ctx_->eval);
 }
 
 void ProjectionOp::PreloadResult(Table result) {
@@ -826,14 +777,13 @@ Status ProjectionOp::Open() {
     pos_ = 0;
     return Status::OK();
   }
+  ctx_->EnsureBindings();
   GQL_RETURN_IF_ERROR(child_->Open());
-  if (ProjectionAggregates(*body_)) {
+  if (proj_.aggregates()) {
     // Aggregating projection: stream the child's morsels straight into
     // the aggregation state — the pre-aggregation table (often the whole
-    // join) never materializes. AggregationState::Plan skips planner-
-    // hidden '#' columns for `*`, so no stripping pass is needed here.
-    GQL_ASSIGN_OR_RETURN(AggregationState state,
-                         AggregationState::Plan(*body_, child_->schema()));
+    // join) never materializes.
+    AggregationState state = proj_.NewAggregation();
     RowBatch batch(ctx_->batch_size);
     while (true) {
       GQL_ASSIGN_OR_RETURN(bool ok, child_->NextBatch(&batch));
@@ -843,14 +793,14 @@ Status ProjectionOp::Open() {
       }
     }
     GQL_ASSIGN_OR_RETURN(Table grouped, state.Finish(ctx_->eval));
-    GQL_ASSIGN_OR_RETURN(
-        grouped, ApplyProjectionTail(*body_, std::move(grouped), nullptr,
-                                     nullptr, ctx_->eval));
-    GQL_ASSIGN_OR_RETURN(result_, FilterWhere(std::move(grouped)));
+    GQL_ASSIGN_OR_RETURN(grouped,
+                         proj_.Tail(std::move(grouped), nullptr, ctx_->eval));
+    GQL_ASSIGN_OR_RETURN(result_,
+                         proj_.FilterWhere(std::move(grouped), ctx_->eval));
   } else {
     GQL_ASSIGN_OR_RETURN(Table input,
                          DrainPlan(child_.get(), ctx_->batch_size));
-    GQL_ASSIGN_OR_RETURN(result_, ProjectTable(std::move(input)));
+    GQL_ASSIGN_OR_RETURN(result_, ProjectTable(input));
   }
   pos_ = 0;
   return Status::OK();
@@ -865,20 +815,16 @@ Result<bool> ProjectionOp::NextBatchImpl(RowBatch* out) {
 }
 
 std::string ProjectionOp::Describe() const {
-  std::string out = "Projection(";
-  bool agg = false;
-  for (const auto& item : body_->items) {
-    if (ContainsAggregate(*item.expr)) agg = true;
-  }
-  if (agg) out = "EagerAggregation(";
+  const ast::ProjectionBody& body = proj_.body();
+  std::string out = proj_.aggregates() ? "EagerAggregation(" : "Projection(";
   for (size_t i = 0; i < schema_.size(); ++i) {
     if (i) out += ", ";
     out += schema_[i];
   }
-  if (body_->distinct) out += " DISTINCT";
-  if (!body_->order_by.empty()) out += " ORDER BY";
-  if (body_->skip) out += " SKIP";
-  if (body_->limit) out += " LIMIT";
+  if (body.distinct) out += " DISTINCT";
+  if (!body.order_by.empty()) out += " ORDER BY";
+  if (body.skip) out += " SKIP";
+  if (body.limit) out += " LIMIT";
   return out + ")";
 }
 
@@ -920,6 +866,7 @@ MatcherOp::MatcherOp(OperatorPtr child, const ExecContext* ctx,
   child_ = std::move(child);
   schema_ = child_->schema();
   for (const auto& c : new_cols_) schema_.push_back(c);
+  names_ = BindNames(PatternNames(*pattern_), BindScope{&child_->schema()});
 }
 
 Status MatcherOp::Open() {
@@ -938,7 +885,8 @@ Result<bool> MatcherOp::NextBatchImpl(RowBatch* out) {
     if (!row_ready_) {
       buffered_.clear();
       pos_ = 0;
-      SchemaRowEnvironment env(child_->schema(), *in);
+      BoundRow bound_in{in};
+      SlotEnvironment env(names_, bound_in);
       Status st = MatchPattern(*pattern_, *ctx_->graph, env, ctx_->eval,
                                ctx_->match, new_cols_,
                                [&](const BindingRow& b) -> Result<bool> {

@@ -131,6 +131,11 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// each execution of a cached plan — everything that reads them must go
 /// through this struct at call time rather than copying them at plan
 /// time.
+///
+/// Operators bind their expressions when the planner builds them
+/// (BoundExpr: variables become slots of the operator's input schema);
+/// the property keys, labels and parameters those expressions name go
+/// into `binds`, which ResolveBindings fills per execution.
 struct ExecContext {
   const PropertyGraph* graph = nullptr;
   /// Keeps `graph` alive while a cached plan outlives the query (and, for
@@ -142,6 +147,19 @@ struct ExecContext {
   /// themselves (ProjectionOp); leaf-to-root morsels are sized by the
   /// caller of NextBatch.
   size_t batch_size = RowBatch::kDefaultCapacity;
+  BindTable binds;
+
+  /// Resolves `binds` against this execution's graph snapshot and
+  /// parameters — O(keys + labels + params). ExecutePlan and
+  /// ExecutePlanParallel call it for every context of the plan before
+  /// opening it (Apply re-opens inner pipelines per driving row, so Open
+  /// must not pay it).
+  void ResolveBindings() { binds.Resolve(graph, eval.parameters); }
+  /// Resolves only when an operator was bound since the last resolution —
+  /// operators driven directly (outside ExecutePlan) resolve on Open.
+  void EnsureBindings() {
+    if (binds.stale()) ResolveBindings();
+  }
 };
 
 /// Implemented by scan leaves whose domain (node slots, label-index
@@ -256,8 +274,22 @@ struct ExpandSpec {
   std::vector<int> uniqueness_cols;
   /// Property constraints of the relationship pattern, evaluated against
   /// the driving row (fused into the expand; a candidate relationship must
-  /// carry equal values). Not owned.
+  /// carry equal values). Not owned; each expand operator binds them to
+  /// its input schema when it is built (BoundRelProps).
   const std::vector<std::pair<std::string, ast::ExprPtr>>* rel_props = nullptr;
+};
+
+/// An expand's relationship-property constraints, bound to its input
+/// schema: per constraint, the key's BindTable index and the value
+/// expression over the driving row.
+struct BoundRelProps {
+  std::vector<int> keys;
+  std::vector<BoundExpr> values;
+
+  static BoundRelProps Bind(const ExpandSpec& spec,
+                            const std::vector<std::string>& input_schema,
+                            BindTable* table);
+  bool empty() const { return keys.empty(); }
 };
 
 /// Lazily-hoisted relationship-property constraint values for one
@@ -279,10 +311,9 @@ struct ExpandSpec {
 class LazyPropWants {
  public:
   void Reset() { wants_.clear(); }
-  /// True if candidate `r` satisfies the constraints of `spec` for
-  /// `row`; evaluates constraint values on first use per row and key.
-  Result<bool> Ok(const ExecContext& ctx, const ExpandSpec& spec,
-                  const std::vector<std::string>& schema,
+  /// True if candidate `r` satisfies `props` for `row`; evaluates
+  /// constraint values on first use per row and key.
+  Result<bool> Ok(const ExecContext& ctx, const BoundRelProps& props,
                   const ValueList& row, RelId r);
 
  private:
@@ -294,15 +325,16 @@ class LazyPropWants {
 /// per driving row (hoisted out of the per-relationship loop).
 class ExpandOp : public Operator {
  public:
-  ExpandOp(OperatorPtr child, const ExecContext* ctx, ExpandSpec spec);
+  ExpandOp(OperatorPtr child, ExecContext* ctx, ExpandSpec spec);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override;
 
  private:
   Result<bool> RelMatches(RelId r, const ValueList& row, NodeId* next);
-  const ExecContext* ctx_;
+  ExecContext* ctx_;
   ExpandSpec spec_;
+  BoundRelProps bound_props_;
   BatchCursor input_;
   size_t adj_pos_ = 0;  // position in the (conceptual) adjacency sequence
   LazyPropWants props_;
@@ -314,14 +346,15 @@ class ExpandOp : public Operator {
 /// the edge table, paying the full edge scan the paper says Expand avoids.
 class HashJoinExpandOp : public Operator {
  public:
-  HashJoinExpandOp(OperatorPtr child, const ExecContext* ctx, ExpandSpec spec);
+  HashJoinExpandOp(OperatorPtr child, ExecContext* ctx, ExpandSpec spec);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override;
 
  private:
-  const ExecContext* ctx_;
+  ExecContext* ctx_;
   ExpandSpec spec_;
+  BoundRelProps bound_props_;
   std::unordered_multimap<uint64_t, uint64_t> index_;  // node id → rel id
   BatchCursor input_;
   bool probing_ = false;
@@ -343,8 +376,8 @@ class HashJoinExpandOp : public Operator {
 /// a high `min` makes that a concern.
 class VarLengthExpandOp : public Operator {
  public:
-  VarLengthExpandOp(OperatorPtr child, const ExecContext* ctx,
-                    ExpandSpec spec, int64_t min, int64_t max);
+  VarLengthExpandOp(OperatorPtr child, ExecContext* ctx, ExpandSpec spec,
+                    int64_t min, int64_t max);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override;
@@ -359,8 +392,9 @@ class VarLengthExpandOp : public Operator {
   /// not a malloc per emitted row.
   ValueList& NextPendingSlot();
 
-  const ExecContext* ctx_;
+  ExecContext* ctx_;
   ExpandSpec spec_;
+  BoundRelProps bound_props_;
   int64_t min_;
   int64_t max_;
 
@@ -392,17 +426,18 @@ class VarLengthExpandOp : public Operator {
 
 /// σ: keeps rows whose predicate is true (3VL: null drops the row).
 /// Batched: marks survivors in the morsel's selection vector — no row is
-/// copied or moved by a filter.
+/// copied or moved by a filter. The predicate is bound to the child's
+/// schema at construction and evaluated per row by slot.
 class FilterOp : public Operator {
  public:
-  FilterOp(OperatorPtr child, const ExecContext* ctx, const ast::Expr* pred);
+  FilterOp(OperatorPtr child, ExecContext* ctx, const ast::Expr* pred);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override;
 
  private:
-  const ExecContext* ctx_;
-  const ast::Expr* pred_;
+  ExecContext* ctx_;
+  BoundExpr pred_;
   std::vector<uint32_t> keep_;
 };
 
@@ -442,15 +477,15 @@ class ApplyOp : public Operator {
 /// UNWIND (Figure 7 rule, including the single-row non-list case).
 class UnwindOp : public Operator {
  public:
-  UnwindOp(OperatorPtr child, const ExecContext* ctx, const ast::Expr* expr,
+  UnwindOp(OperatorPtr child, ExecContext* ctx, const ast::Expr* expr,
            std::string var);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override { return "Unwind(" + var_ + ")"; }
 
  private:
-  const ExecContext* ctx_;
-  const ast::Expr* expr_;
+  ExecContext* ctx_;
+  BoundExpr expr_;
   std::string var_;
   BatchCursor input_;
   bool row_ready_ = false;
@@ -465,36 +500,31 @@ class UnwindOp : public Operator {
 /// RETURN/WITH projection. A pipeline breaker: materializes its input and
 /// delegates to the shared projection/aggregation machinery (eager
 /// aggregation, DISTINCT, ORDER BY, SKIP/LIMIT), then streams the result
-/// in morsels. `where` (WITH ... WHERE) filters the projected rows.
+/// in morsels. `where` (WITH ... WHERE) filters the projected rows. The
+/// body is bound to the child's schema once, at construction
+/// (BoundProjection); `*` skips planner-hidden '#' columns there.
 class ProjectionOp : public Operator {
  public:
-  ProjectionOp(OperatorPtr child, const ExecContext* ctx,
+  ProjectionOp(OperatorPtr child, ExecContext* ctx,
                const ast::ProjectionBody* body, const ast::Expr* where,
                std::vector<std::string> schema);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override;
 
-  /// Applies this operator's projection (hidden-column stripping for `*`,
-  /// EvaluateProjection, the WITH ... WHERE filter) to an
-  /// already-materialized input — the same transformation Open() applies
-  /// to the drained child. The parallel runtime merges per-worker rows
-  /// and runs this once, serially, as the pipeline-breaker barrier that
-  /// keeps ORDER BY / DISTINCT / SKIP / LIMIT deterministic.
-  Result<Table> ProjectTable(Table input) const;
+  /// Applies this operator's projection (map or aggregation, tail, the
+  /// WITH ... WHERE filter) to an already-materialized input — the same
+  /// transformation Open() applies to the drained child. The parallel
+  /// runtime merges per-worker rows and runs this once, serially, as the
+  /// pipeline-breaker barrier that keeps ORDER BY / DISTINCT / SKIP /
+  /// LIMIT deterministic.
+  Result<Table> ProjectTable(const Table& input) const;
 
-  /// The map stage only — hidden-column stripping for `*` plus the
-  /// per-row projection, WITHOUT the tail (DISTINCT / ORDER BY / SKIP /
-  /// LIMIT) or the WHERE filter. The parallel runtime calls this on each
-  /// worker's scan-range rows; `keys` (optional) receives each output
-  /// row's ORDER BY key row, computed in the same pass while the source
-  /// rows are still in reach. Only valid for non-aggregating bodies.
-  Result<Table> ProjectChunk(Table input, std::vector<ValueList>* keys) const;
-
-  /// Applies the WITH ... WHERE filter to projected rows (no-op without a
-  /// WHERE). Shared with the parallel runtime, which runs the breaker
-  /// tail itself and must filter the merged rows identically.
-  Result<Table> FilterWhere(Table result) const;
+  /// The bound body (map stage, aggregation plan, ORDER BY keys, tail,
+  /// WHERE filter) — the parallel runtime runs its stages itself: the
+  /// map and keys on each worker's scan-range rows, the tail and filter
+  /// in the merge. Evaluate with exec_context()->eval.
+  const BoundProjection& projection() const { return proj_; }
 
   /// Hands this breaker its already-computed result: the next Open()
   /// consumes `result` directly instead of draining the child. The
@@ -503,14 +533,12 @@ class ProjectionOp : public Operator {
   /// stages, then the remaining serial operators stream it as usual.
   void PreloadResult(Table result);
 
-  const ast::ProjectionBody* body() const { return body_; }
-  const ast::Expr* where() const { return where_; }
+  const ast::ProjectionBody* body() const { return &proj_.body(); }
   const ExecContext* exec_context() const { return ctx_; }
 
  private:
-  const ExecContext* ctx_;
-  const ast::ProjectionBody* body_;
-  const ast::Expr* where_;
+  ExecContext* ctx_;
+  BoundProjection proj_;
   Table result_;
   size_t pos_ = 0;
   bool has_preloaded_ = false;
@@ -546,7 +574,9 @@ class UnionOp : public Operator {
 /// cover (named paths, repeated variable-length variables): runs the
 /// reference matcher per input row (one-row correlation semantics).
 /// Keeps the runtime complete while the common shapes stay on the fast
-/// path.
+/// path. The matcher is name-based; it sees the input row through a
+/// SlotEnvironment holding only the names the pattern mentions, bound to
+/// their slots at construction.
 class MatcherOp : public Operator {
  public:
   MatcherOp(OperatorPtr child, const ExecContext* ctx,
@@ -559,6 +589,7 @@ class MatcherOp : public Operator {
   const ExecContext* ctx_;
   const ast::Pattern* pattern_;
   std::vector<std::string> new_cols_;
+  std::vector<NamedSlot> names_;
   BatchCursor input_;
   bool row_ready_ = false;
   std::vector<ValueList> buffered_;

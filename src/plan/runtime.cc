@@ -73,7 +73,12 @@ Result<size_t> EffectiveNumThreads(size_t configured) {
   return configured;
 }
 
+void ResolvePlanBindings(Plan* plan) {
+  for (auto& ctx : plan->contexts) ctx->ResolveBindings();
+}
+
 Result<Table> ExecutePlan(Plan* plan, size_t batch_size, BatchStats* stats) {
+  ResolvePlanBindings(plan);
   GQL_RETURN_IF_ERROR(plan->root->Open());
   return DrainPlan(plan->root.get(), batch_size, stats);
 }

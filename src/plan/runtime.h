@@ -19,6 +19,12 @@ struct ParallelRunStats;
 /// classic tuple-at-a-time execution — the escape hatch the benches
 /// expose as `--no-batch` and tests drive via GQLITE_BATCH_SIZE=1.
 /// `stats` (optional) accumulates rows/batches the root produced.
+/// Resolves the key/label/parameter tables of every context of `plan`
+/// against the context's graph snapshot and this execution's parameters
+/// (ExecContext::ResolveBindings). Both executors call it before opening
+/// the plan; a cached plan is re-resolved on every execution.
+void ResolvePlanBindings(Plan* plan);
+
 Result<Table> ExecutePlan(Plan* plan,
                           size_t batch_size = RowBatch::kDefaultCapacity,
                           BatchStats* stats = nullptr);

@@ -91,6 +91,43 @@ TEST_F(OperatorTest, ExpandAllDirections) {
   EXPECT_EQ(Drain(typed.get()).NumRows(), 2u);
 }
 
+TEST_F(OperatorTest, DirectedExpandMatchesInterpreterAroundSelfLoop) {
+  // x carries a self-loop, one in-edge (from a) and one out-edge (to b):
+  // `->` and `<-` each walk only their adjacency half and must still see
+  // the self-loop exactly once; `--` sees it once across both halves.
+  auto g = std::make_shared<PropertyGraph>();
+  NodeId x = g->CreateNode({"X"}, {{"name", Value::String("x")}});
+  NodeId a = g->CreateNode({}, {{"name", Value::String("a")}});
+  NodeId b = g->CreateNode({}, {{"name", Value::String("b")}});
+  ASSERT_TRUE(g->CreateRelationship(x, x, "L").ok());
+  ASSERT_TRUE(g->CreateRelationship(a, x, "T").ok());
+  ASSERT_TRUE(g->CreateRelationship(x, b, "T").ok());
+  EngineOptions vopts;
+  CypherEngine volcano(vopts);
+  volcano.set_default_graph(g);
+  EngineOptions iopts;
+  iopts.mode = ExecutionMode::kInterpreter;
+  CypherEngine interp(iopts);
+  interp.set_default_graph(g);
+  const std::pair<const char*, size_t> cases[] = {
+      {"MATCH (n:X)-[r]->(m) RETURN type(r) AS t, m.name AS m", 2},
+      {"MATCH (n:X)<-[r]-(m) RETURN type(r) AS t, m.name AS m", 2},
+      {"MATCH (n:X)-[r]-(m) RETURN type(r) AS t, m.name AS m", 3},
+      {"MATCH (m)-[r]->(n:X) RETURN type(r) AS t, m.name AS m", 2},
+      {"MATCH (m)<-[r]-(n:X) RETURN type(r) AS t, m.name AS m", 2},
+  };
+  for (const auto& [q, rows] : cases) {
+    auto want = interp.Execute(q);
+    auto got = volcano.Execute(q);
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    EXPECT_EQ(got->table.NumRows(), rows) << q;
+    EXPECT_TRUE(want->table.SameBag(got->table))
+        << q << "\ninterpreter:\n" << want->table.ToString()
+        << "volcano:\n" << got->table.ToString();
+  }
+}
+
 TEST_F(OperatorTest, ExpandIntoChecksBoundTarget) {
   // Schema [n, m]: all pairs via two scans, then ExpandInto over T.
   auto scan1 = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");

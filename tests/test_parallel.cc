@@ -205,11 +205,12 @@ Result<Table> MergePartitions(const ast::ProjectionBody& body,
                               const Table& input,
                               const std::vector<size_t>& splits) {
   EvalContext ctx;
+  BindTable binds;
   std::vector<AggregationState> states;
   size_t row = 0;
   for (size_t len : splits) {
-    GQL_ASSIGN_OR_RETURN(AggregationState st,
-                         AggregationState::Plan(body, input.fields()));
+    AggregationState st = AggregationState::Plan(body, input.fields(), &binds);
+    binds.Resolve(nullptr, nullptr);
     Table part(input.fields());
     for (size_t i = 0; i < len && row < input.NumRows(); ++i, ++row) {
       part.AddRow(input.rows()[row]);
@@ -319,8 +320,9 @@ Result<Table> MergePartitioned(const ast::ProjectionBody& body,
                                const std::vector<size_t>& splits,
                                size_t partitions) {
   EvalContext ctx;
-  GQL_ASSIGN_OR_RETURN(AggregationState proto,
-                       AggregationState::Plan(body, input.fields()));
+  BindTable binds;
+  AggregationState proto = AggregationState::Plan(body, input.fields(), &binds);
+  binds.Resolve(nullptr, nullptr);
   std::vector<std::unique_ptr<PartitionedAggregationState>> ranges;
   size_t row = 0;
   for (size_t range = 0; range < splits.size(); ++range) {
@@ -723,6 +725,80 @@ TEST(ParallelEngine, IntermediateWithBreakersAreByteIdentical) {
                 par4.parallel_stats().distinct_merges,
             4u)
       << "the breaker queries above must take the parallel merge paths";
+}
+
+TEST(ParallelEngine, BoundedTopKIsByteIdenticalAcrossWorkerCounts) {
+  // Three sort keys over 600 nodes: every tie group spans many scan
+  // ranges, and ties must come out in scan order at any worker count —
+  // through the per-range partial sorts, the run merges, and the
+  // DISTINCT chunk sorts.
+  auto g = std::make_shared<PropertyGraph>();
+  for (int i = 0; i < 600; ++i) {
+    g->CreateNode({"P"}, {{"i", Value::Int(i)}, {"k", Value::Int(i % 3)},
+                          {"d", Value::Int(i % 40)}});
+  }
+  EngineOptions iopts;
+  iopts.mode = ExecutionMode::kInterpreter;
+  CypherEngine oracle(iopts);
+  oracle.set_default_graph(g);
+  std::vector<CypherEngine> engines;
+  engines.reserve(3);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    engines.emplace_back(opts);
+    engines.back().set_default_graph(g);
+  }
+  const std::string sorted = "MATCH (n:P) RETURN n.k AS k, n.i AS i ORDER BY k";
+  const std::string distinct =
+      "MATCH (n:P) RETURN DISTINCT n.d AS d, n.k AS k ORDER BY k";
+  struct Case {
+    std::string query;
+    int64_t skip;
+    int64_t limit;
+  };
+  const Case cases[] = {
+      {sorted, 0, 10},  {sorted, 5, 7},       {sorted, 0, 0},
+      {sorted, 0, 5000}, {sorted, 590, 50},   {sorted, 199, 3},
+      {distinct, 0, 10}, {distinct, 13, 20},  {distinct, 0, 0},
+      {distinct, 0, 1000}, {sorted, 3, std::numeric_limits<int64_t>::max()},
+  };
+  for (const Case& c : cases) {
+    const std::string q = c.query + " SKIP $s LIMIT $l";
+    ValueMap params{{"s", Value::Int(c.skip)}, {"l", Value::Int(c.limit)}};
+    auto want = oracle.Execute(q, params);
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    for (CypherEngine& e : engines) {
+      auto got = e.Execute(q, params);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      EXPECT_EQ(want->table.ToString(), got->table.ToString())
+          << e.options().num_threads << " workers: " << q << " SKIP "
+          << c.skip << " LIMIT " << c.limit;
+    }
+  }
+  // The first ten under `ORDER BY k` are the k = 0 rows in scan order.
+  auto first = engines.back().Execute(sorted + " LIMIT 10");
+  ASSERT_TRUE(first.ok());
+  for (size_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(first->table.rows()[r][1].AsInt(), static_cast<int64_t>(3 * r));
+  }
+  // An invalid LIMIT surfaces after the ORDER BY keys: a key error wins.
+  ValueMap bad{{"l", Value::Int(-1)}};
+  for (CypherEngine& e : engines) {
+    auto key_err = e.Execute(
+        "MATCH (n:P) RETURN n.i AS i ORDER BY 1 / (n.i - 300) LIMIT $l", bad);
+    ASSERT_FALSE(key_err.ok());
+    EXPECT_NE(key_err.status().ToString().find("division by zero"),
+              std::string::npos)
+        << key_err.status().ToString();
+    auto limit_err =
+        e.Execute("MATCH (n:P) RETURN n.i AS i ORDER BY i LIMIT $l", bad);
+    ASSERT_FALSE(limit_err.ok());
+    EXPECT_NE(limit_err.status().ToString().find(
+                  "LIMIT must be a non-negative integer"),
+              std::string::npos)
+        << limit_err.status().ToString();
+  }
 }
 
 TEST(ParallelEngine, StatsReadableWhileQueriesExecute) {

@@ -73,6 +73,12 @@ const char* kCorpus[] = {
     "count(*) AS c ORDER BY t",
     "MATCH (a) RETURN single(l IN labels(a) WHERE l = 'A') AS isA, "
     "count(*) AS c ORDER BY isA",
+    // Name-resolved subtrees over bound rows: a pattern predicate whose
+    // property expression reads a later-bound variable, and one inside a
+    // comprehension reading its local.
+    "MATCH (a), (b) WHERE (a)-[:T {w: b.v % 2}]->() RETURN count(*) AS c",
+    "MATCH (a) RETURN id(a) AS i, "
+    "[x IN [0, 1] WHERE (a)-[:T {w: x}]->() | x * a.v] AS xs ORDER BY i",
 };
 
 /// One forced planner configuration: the per-hop operator and the chain

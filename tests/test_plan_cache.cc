@@ -465,5 +465,64 @@ TEST(Prepare, RepeatedExecutionOfCachedPlanIsStable) {
   }
 }
 
+TEST(Prepare, CachedPlanSeesKeyInternedAfterPlanning) {
+  // The plan is built (and cached) while no node carries `k2`, so the key
+  // is not interned yet. Binding resolves property keys per execution, not
+  // per plan: after SET interns `k2`, the same cached plan must find it.
+  CypherEngine engine;
+  MustRun(engine, "CREATE (:N {k: 1}), (:N {k: 2}), (:N {k: 3})");
+  auto stmt = engine.Prepare("MATCH (n:N) WHERE n.k2 = $v RETURN n.k AS k");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto before = engine.Execute(*stmt, P({{"v", Value::Int(7)}}));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->table.NumRows(), 0u);
+  MustRun(engine, "MATCH (n:N) WHERE n.k >= 2 SET n.k2 = 7");
+  auto after = engine.Execute(*stmt, P({{"v", Value::Int(7)}}));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->table.NumRows(), 2u);
+  EXPECT_EQ(after->table.Sorted().rows()[0][0].AsInt(), 2);
+  EXPECT_EQ(after->table.Sorted().rows()[1][0].AsInt(), 3);
+  // The second execution reused the plan cached by the first.
+  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+}
+
+TEST(Prepare, ParameterKindsMatchTheInterpreter) {
+  // One prepared statement, one cached plan, the parameter rebound per
+  // execution as an int, a string, null, and not at all. Results and
+  // error messages must equal the interpreter's.
+  EngineOptions iopts;
+  iopts.mode = ExecutionMode::kInterpreter;
+  CypherEngine cached, oracle(iopts);
+  const char* setup =
+      "CREATE (:N {k: 1}), (:N {k: 'one'}), (:N {k: 1.0}), (:N {})";
+  MustRun(cached, setup);
+  MustRun(oracle, setup);
+  const char* q =
+      "MATCH (n:N) WHERE n.k = $v OR $v IS NULL RETURN n.k AS k";
+  auto stmt = cached.Prepare(q);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const ValueMap kinds[] = {P({{"v", Value::Int(1)}}),
+                            P({{"v", Value::String("one")}}),
+                            P({{"v", Value::Null()}}), P({})};
+  for (const ValueMap& params : kinds) {
+    auto got = cached.Execute(*stmt, params);
+    auto want = oracle.Execute(q, params);
+    ASSERT_EQ(got.ok(), want.ok())
+        << (got.ok() ? want.status() : got.status()).ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      EXPECT_NE(got.status().ToString().find("missing query parameter $v"),
+                std::string::npos)
+          << got.status().ToString();
+      continue;
+    }
+    EXPECT_TRUE(got->table.SameBag(want->table))
+        << "cached:\n" << got->table.ToString() << "interpreter:\n"
+        << want->table.ToString();
+  }
+  EXPECT_EQ(cached.plan_cache_stats().misses, 1u);
+  EXPECT_EQ(cached.plan_cache_stats().hits, 3u);
+}
+
 }  // namespace
 }  // namespace gqlite

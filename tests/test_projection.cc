@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/engine.h"
 
 namespace gqlite {
@@ -12,18 +14,39 @@ namespace {
 class ProjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(engine_
-                    .Execute("UNWIND [[1, 'a'], [2, 'b'], [2, 'a'], "
-                             "[3, 'b'], [null, 'a']] AS row "
-                             "CREATE (:N {v: row[0], g: row[1]})")
-                    .ok());
+    ASSERT_TRUE(engine_.Execute(kSetup).ok());
+    ASSERT_TRUE(oracle_.Execute(kSetup).ok());
   }
   Table Run(const std::string& q) {
     auto r = engine_.Execute(q);
     EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
     return r.ok() ? std::move(r->table) : Table();
   }
+  /// Runs `q` on the default (Volcano) engine and on the interpreter
+  /// over the same data; both must agree byte for byte (or fail with the
+  /// same error). Returns the Volcano result.
+  Result<Table> RunBoth(const std::string& q, const ValueMap& params = {}) {
+    auto got = engine_.Execute(q, params);
+    auto want = oracle_.Execute(q, params);
+    EXPECT_EQ(got.ok(), want.ok()) << q;
+    if (!got.ok() || !want.ok()) {
+      if (!got.ok() && !want.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString()) << q;
+      }
+      return got.ok() ? want.status() : got.status();
+    }
+    EXPECT_EQ(got->table.ToString(), want->table.ToString()) << q;
+    return std::move(got->table);
+  }
+  static constexpr const char* kSetup =
+      "UNWIND [[1, 'a'], [2, 'b'], [2, 'a'], [3, 'b'], [null, 'a']] AS row "
+      "CREATE (:N {v: row[0], g: row[1]})";
   CypherEngine engine_;
+  CypherEngine oracle_{[] {
+    EngineOptions o;
+    o.mode = ExecutionMode::kInterpreter;
+    return o;
+  }()};
 };
 
 TEST_F(ProjectionTest, ImplicitGroupingKeys) {
@@ -201,6 +224,106 @@ TEST_F(ProjectionTest, NestedUnwindMultiplies) {
   ASSERT_EQ(t.NumRows(), 4u);
   EXPECT_EQ(t.rows()[0][0].AsInt(), 10);
   EXPECT_EQ(t.rows()[3][0].AsInt(), 40);
+}
+
+TEST_F(ProjectionTest, OrderByAliasShadowsPreProjectionVariable) {
+  // The alias `n` (a string) shadows the matched node `n`: ORDER BY n
+  // sorts by the projected column, not by the node (creation order
+  // a, b, a, b, a).
+  auto t = RunBoth("MATCH (n:N) RETURN n.g AS n ORDER BY n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  std::string order;
+  for (const auto& r : t->rows()) order += r[0].AsString();
+  EXPECT_EQ(order, "aaabb");
+  // Swapped aliases: each ORDER BY key names the OUTPUT column, and a
+  // pre-projection-only variable still reads the input row.
+  auto s2 = RunBoth(
+      "MATCH (n:N) WITH n.v AS v, n.g AS g, n AS m "
+      "RETURN g AS v, v AS g ORDER BY v DESC, g, m.v");
+  ASSERT_TRUE(s2.ok()) << s2.status().ToString();
+  ASSERT_EQ(s2->NumRows(), 5u);
+  EXPECT_EQ(s2->rows()[0][0].AsString(), "b");
+  EXPECT_EQ(s2->rows()[0][1].AsInt(), 2);
+  EXPECT_EQ(s2->rows()[1][1].AsInt(), 3);
+  EXPECT_EQ(s2->rows()[2][0].AsString(), "a");
+  EXPECT_EQ(s2->rows()[2][1].AsInt(), 1);
+  EXPECT_TRUE(s2->rows()[4][1].is_null());
+}
+
+TEST_F(ProjectionTest, AggregatesNestedInExpressions) {
+  auto t = RunBoth(
+      "MATCH (n:N) RETURN count(*) + 1 AS c, collect(n.v)[0] AS first, "
+      "size(collect(n.g)) AS sz, -min(n.v) AS neg");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->NumRows(), 1u);
+  EXPECT_EQ(t->rows()[0][0].AsInt(), 6);
+  EXPECT_EQ(t->rows()[0][1].AsInt(), 1);
+  EXPECT_EQ(t->rows()[0][2].AsInt(), 5);
+  EXPECT_EQ(t->rows()[0][3].AsInt(), -1);
+  auto g = RunBoth(
+      "MATCH (n:N) RETURN n.g AS g, collect(n.v)[-1] AS last, "
+      "count(*) * 10 AS c, CASE WHEN count(*) > 2 THEN 'big' ELSE 'small' "
+      "END AS size ORDER BY g");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_EQ(g->NumRows(), 2u);
+  EXPECT_EQ(g->rows()[0][1].AsInt(), 2);  // a: [1, 2] (null skipped)
+  EXPECT_EQ(g->rows()[0][2].AsInt(), 30);
+  EXPECT_EQ(g->rows()[0][3].AsString(), "big");
+  EXPECT_EQ(g->rows()[1][1].AsInt(), 3);  // b: [2, 3]
+  EXPECT_EQ(g->rows()[1][2].AsInt(), 20);
+  EXPECT_EQ(g->rows()[1][3].AsString(), "small");
+}
+
+TEST_F(ProjectionTest, BoundedTopKEqualsStableSortPrefix) {
+  // Ties on g keep input (creation) order; SKIP/LIMIT cut the stable
+  // sort's output, whatever the bound.
+  const std::string q = "MATCH (n:N) RETURN n.g AS g, n.v AS v ORDER BY g";
+  auto full = RunBoth(q);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->NumRows(), 5u);
+  EXPECT_EQ(full->rows()[0][1].AsInt(), 1);
+  EXPECT_EQ(full->rows()[1][1].AsInt(), 2);
+  EXPECT_TRUE(full->rows()[2][1].is_null());
+  EXPECT_EQ(full->rows()[3][1].AsInt(), 2);
+  EXPECT_EQ(full->rows()[4][1].AsInt(), 3);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const auto& [skip, limit] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 0}, {0, 1}, {1, 3}, {2, 1}, {4, 10}, {0, 100}, {7, 2},
+           {1, kMax}}) {  // skip + limit must not overflow
+    auto part = RunBoth(q + " SKIP $s LIMIT $l",
+                        ValueMap{{"s", Value::Int(skip)},
+                                 {"l", Value::Int(limit)}});
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    size_t begin = std::min<size_t>(5, static_cast<size_t>(skip));
+    size_t end = std::min<size_t>(5, begin + std::min<size_t>(5, limit));
+    ASSERT_EQ(part->NumRows(), end - begin) << skip << "/" << limit;
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(part->rows()[i - begin][c].ToString(),
+                  full->rows()[i][c].ToString())
+            << "SKIP " << skip << " LIMIT " << limit << " row " << i;
+      }
+    }
+  }
+}
+
+TEST_F(ProjectionTest, LimitErrorSurfacesAfterOrderByKeys) {
+  // An invalid LIMIT is reported once the keys are computed — so a key
+  // error (1 / 0 at v = 2) wins over it, exactly as without the bound.
+  ValueMap bad{{"l", Value::Int(-1)}};
+  auto key_err = RunBoth(
+      "MATCH (n:N) RETURN n.v AS v ORDER BY 1 / (n.v - 2) LIMIT $l", bad);
+  ASSERT_FALSE(key_err.ok());
+  EXPECT_NE(key_err.status().ToString().find("division by zero"),
+            std::string::npos)
+      << key_err.status().ToString();
+  auto limit_err =
+      RunBoth("MATCH (n:N) RETURN n.v AS v ORDER BY v LIMIT $l", bad);
+  ASSERT_FALSE(limit_err.ok());
+  EXPECT_NE(limit_err.status().ToString().find(
+                "LIMIT must be a non-negative integer"),
+            std::string::npos)
+      << limit_err.status().ToString();
 }
 
 }  // namespace
