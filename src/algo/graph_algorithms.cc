@@ -18,15 +18,15 @@ void ForEachStep(const PropertyGraph& g, NodeId n,
   SymbolId type = opts.type.empty() ? kNoSymbol : g.LookupType(opts.type);
   bool filter = !opts.type.empty();
   if (filter && type == kNoSymbol) return;  // unknown type: no steps
-  for (RelId r : g.OutRels(n)) {
-    if (filter && g.RelTypeId(r) != type) continue;
-    fn(r, g.Target(r));
+  for (const AdjEntry& e : g.OutRels(n)) {
+    if (filter && e.type != type) continue;
+    fn(e.rel, e.other);
   }
   if (opts.undirected) {
-    for (RelId r : g.InRels(n)) {
-      if (filter && g.RelTypeId(r) != type) continue;
-      if (g.Source(r) == g.Target(r)) continue;  // self loop seen above
-      fn(r, g.Source(r));
+    for (const AdjEntry& e : g.InRels(n)) {
+      if (filter && e.type != type) continue;
+      if (e.other == n) continue;  // self loop seen above
+      fn(e.rel, e.other);
     }
   }
 }
@@ -117,14 +117,14 @@ std::unordered_map<uint64_t, double> PageRank(const PropertyGraph& g,
     for (NodeId v : nodes) next[v.id] = 0;
     double dangling = 0;
     for (NodeId v : nodes) {
-      const auto& out = g.OutRels(v);
+      const auto out = g.OutRels(v);
       double share = rank[v.id];
       if (out.empty()) {
         dangling += share;
         continue;
       }
       double per_edge = share / static_cast<double>(out.size());
-      for (RelId r : out) next[g.Target(r).id] += per_edge;
+      for (const AdjEntry& e : out) next[e.other.id] += per_edge;
     }
     double base = (1.0 - opts.damping) / n + opts.damping * dangling / n;
     double delta = 0;

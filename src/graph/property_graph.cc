@@ -49,11 +49,11 @@ size_t PropertyGraph::DegreeBucket(size_t d) {
   return b < kDegreeBuckets ? b : kDegreeBuckets - 1;
 }
 
-size_t PropertyGraph::TypedDegree(const std::vector<RelId>& adj,
-                                  SymbolId type) const {
+size_t PropertyGraph::TypedDegree(std::span<const AdjEntry> adj,
+                                  SymbolId type) {
   size_t d = 0;
-  for (RelId r : adj) {
-    if (rel(r).type == type) ++d;
+  for (const AdjEntry& e : adj) {
+    if (e.type == type) ++d;
   }
   return d;
 }
@@ -116,34 +116,36 @@ Rec* PropertyGraph::MutableSlot(PageVec<Rec>* pages, size_t id) {
   auto& page = (*pages)[id >> kPageBits];
   if (page.epoch != epoch_) {
     // Some snapshot/clone may share this payload: write to a private copy.
-    page.payload = std::make_shared<std::vector<Rec>>(*page.payload);
+    auto copy = std::make_shared<Rec[]>(kPageSize);
+    std::copy_n(page.payload.get(), kPageSize, copy.get());
+    page.payload = std::move(copy);
     page.epoch = epoch_;
   }
-  return &(*page.payload)[id & kPageMask];
+  return &page.payload[id & kPageMask];
 }
 
 template <typename Rec>
 Rec* PropertyGraph::AppendSlot(PageVec<Rec>* pages, size_t* slots) {
-  AssertMutable();
   size_t id = (*slots)++;
   if ((id & kPageMask) == 0) {
-    // First slot of a fresh page.
+    // First slot of a fresh page; the rest stay default records until
+    // appended.
+    AssertMutable();
     auto& page = pages->emplace_back();
-    page.payload = std::make_shared<std::vector<Rec>>();
-    page.payload->reserve(kPageSize);
+    page.payload = std::make_shared<Rec[]>(kPageSize);
     page.epoch = epoch_;
-    page.payload->emplace_back();
-    return &page.payload->back();
+    return &page.payload[0];
   }
-  auto& page = pages->back();
-  if (page.epoch != epoch_) {
-    page.payload = std::make_shared<std::vector<Rec>>(*page.payload);
-    page.payload->reserve(kPageSize);
-    page.epoch = epoch_;
-  }
-  page.payload->emplace_back();
-  return &page.payload->back();
+  return MutableSlot(pages, id);
 }
+
+// The checkpoint decoder (src/storage/) appends and patches records too.
+template PropertyGraph::NodeRecord* PropertyGraph::MutableSlot(
+    PageVec<NodeRecord>*, size_t);
+template PropertyGraph::NodeRecord* PropertyGraph::AppendSlot(
+    PageVec<NodeRecord>*, size_t*);
+template PropertyGraph::RelRecord* PropertyGraph::AppendSlot(
+    PageVec<RelRecord>*, size_t*);
 
 std::vector<NodeId>* PropertyGraph::MutablePosting(SymbolId s) {
   AssertMutable();
@@ -156,6 +158,116 @@ std::vector<NodeId>* PropertyGraph::MutablePosting(SymbolId s) {
     entry.epoch = epoch_;
   }
   return entry.payload.get();
+}
+
+// ---- Record fields ---------------------------------------------------------
+
+const Value& PropertyGraph::NullValue() {
+  static const Value kAbsent;  // ι is partial: absent keys read as null
+  return kAbsent;
+}
+
+const Value& PropertyGraph::SpillProp(const Spill& spill, SymbolId key) {
+  for (const auto& [k, v] : spill.props) {
+    if (k == key) return v;
+  }
+  return NullValue();
+}
+
+bool PropertyGraph::SpillHasLabel(const Spill& spill, SymbolId label) {
+  return std::binary_search(spill.labels.begin(), spill.labels.end(), label);
+}
+
+template <typename Rec>
+int PropertyGraph::SetProp(Rec* rec, SymbolId key, Value v) {
+  if (key == kNoSymbol) return 0;  // the empty key names no property
+  if (rec->prop_key == key) {
+    if (!v.is_null()) {
+      rec->prop = std::move(v);
+      return 1;
+    }
+    // Removing the inline property: the next one (if any) moves in, so
+    // the remaining order is unchanged.
+    if (rec->spill && !rec->spill->props.empty()) {
+      auto& rest = rec->spill.Mutable()->props;
+      rec->prop_key = rest.front().first;
+      rec->prop = std::move(rest.front().second);
+      rest.erase(rest.begin());
+      rec->spill.ShrinkIfEmpty();
+    } else {
+      rec->prop_key = kNoSymbol;
+      rec->prop = Value();
+    }
+    return 1;
+  }
+  if (rec->spill) {
+    auto& rest = rec->spill.Mutable()->props;
+    for (auto it = rest.begin(); it != rest.end(); ++it) {
+      if (it->first == key) {
+        if (v.is_null()) {
+          rest.erase(it);
+          rec->spill.ShrinkIfEmpty();
+        } else {
+          it->second = std::move(v);
+        }
+        return 1;
+      }
+    }
+  }
+  if (v.is_null()) return 0;
+  AppendProp(rec, key, std::move(v));
+  return 1;
+}
+
+bool PropertyGraph::InsertLabel(NodeRecord* rec, SymbolId label) {
+  if (label == kNoSymbol || rec->label == label) return false;
+  if (rec->label == kNoSymbol) {
+    rec->label = label;
+    return true;
+  }
+  auto& rest = rec->spill.Mutable()->labels;
+  if (label < rec->label) {
+    // The new smallest label goes inline; the old one spills first.
+    rest.insert(rest.begin(), rec->label);
+    rec->label = label;
+    return true;
+  }
+  auto it = std::lower_bound(rest.begin(), rest.end(), label);
+  if (it != rest.end() && *it == label) return false;
+  rest.insert(it, label);
+  return true;
+}
+
+bool PropertyGraph::EraseLabel(NodeRecord* rec, SymbolId label) {
+  if (label == kNoSymbol) return false;
+  if (rec->label == label) {
+    if (rec->spill && !rec->spill->labels.empty()) {
+      auto& rest = rec->spill.Mutable()->labels;
+      rec->label = rest.front();
+      rest.erase(rest.begin());
+      rec->spill.ShrinkIfEmpty();
+    } else {
+      rec->label = kNoSymbol;
+    }
+    return true;
+  }
+  if (!rec->spill) return false;
+  auto& rest = rec->spill.Mutable()->labels;
+  auto it = std::lower_bound(rest.begin(), rest.end(), label);
+  if (it == rest.end() || *it != label) return false;
+  rest.erase(it);
+  rec->spill.ShrinkIfEmpty();
+  return true;
+}
+
+void PropertyGraph::Unlink(NodeRecord* rec, RelId r, bool outgoing) {
+  auto begin = rec->adj.begin() + (outgoing ? 0 : rec->out_count);
+  auto end = outgoing ? rec->adj.begin() + rec->out_count : rec->adj.end();
+  auto it = std::find_if(begin, end,
+                         [r](const AdjEntry& e) { return e.rel == r; });
+  if (it == end) return;
+  rec->adj.erase(it);
+  if (outgoing) --rec->out_count;
 }
 
 PropertyGraph::PropertyGraph(const PropertyGraph& other, bool frozen)
@@ -204,25 +316,20 @@ NodeId PropertyGraph::CreateNode(const std::vector<std::string>& labels,
   AssertMutable();
   NodeId id{node_slots_};
   NodeRecord* rec = AppendSlot(&node_pages_, &node_slots_);
-  for (const std::string& l : labels) {
-    SymbolId s = labels_.Intern(l);
-    if (std::find(rec->labels.begin(), rec->labels.end(), s) ==
-        rec->labels.end()) {
-      rec->labels.push_back(s);
-    }
-  }
-  std::sort(rec->labels.begin(), rec->labels.end());
+  for (const std::string& l : labels) InsertLabel(rec, labels_.Intern(l));
   for (const auto& [k, v] : props) {
-    if (!v.is_null()) rec->props.emplace_back(keys_.Intern(k), v);
+    if (v.is_null() || k.empty()) continue;
+    SymbolId key = keys_.Intern(k);
+    NoteNdv(&node_ndv_, key, v);
+    AppendProp(rec, key, v);
   }
-  for (const auto& [k, v] : rec->props) NoteNdv(&node_ndv_, k, v);
   ++num_nodes_;
   ++stats_version_;
   ++data_version_;
-  for (SymbolId s : node(id).labels) {
+  ForEachLabel(*rec, [&](SymbolId s) {
     MutablePosting(s)->push_back(id);
     ++label_counts_[s];
-  }
+  });
   if (observer_ != nullptr) observer_->OnCreateNode(id, labels, props);
   return id;
 }
@@ -246,29 +353,34 @@ Result<RelId> PropertyGraph::CreateRelationship(NodeId src, NodeId tgt,
   rec->tgt = tgt;
   rec->type = types_.Intern(type);
   for (const auto& [k, v] : props) {
-    if (!v.is_null()) rec->props.emplace_back(keys_.Intern(k), v);
+    if (v.is_null() || k.empty()) continue;
+    SymbolId key = keys_.Intern(k);
+    NoteNdv(&rel_ndv_, key, v);
+    AppendProp(rec, key, v);
   }
-  for (const auto& [k, v] : rec->props) NoteNdv(&rel_ndv_, k, v);
   SymbolId t = rec->type;
   ++num_rels_;
   ++stats_version_;
   ++data_version_;
   ++type_counts_[t];
-  MutableNode(src)->out.push_back(id);
-  MutableNode(tgt)->in.push_back(id);
+  NodeRecord* src_rec = MutableNode(src);
+  src_rec->adj.insert(src_rec->adj.begin() + src_rec->out_count,
+                      AdjEntry{id, tgt, t});
+  ++src_rec->out_count;
+  MutableNode(tgt)->adj.push_back(AdjEntry{id, src, t});
   // Directional statistics: the endpoints' typed degrees just moved
   // d -> d+1 (adjacency vectors hold only live relationships).
   TypeDegreeStats& ds = type_degree_stats_[t];
   ShiftDegree(&ds.out_hist, &ds.distinct_sources,
-              TypedDegree(node(src).out, t) - 1, +1);
+              TypedDegree(OutRels(src), t) - 1, +1);
   ShiftDegree(&ds.in_hist, &ds.distinct_targets,
-              TypedDegree(node(tgt).in, t) - 1, +1);
-  for (SymbolId l : node(src).labels) {
+              TypedDegree(InRels(tgt), t) - 1, +1);
+  ForEachLabel(node(src), [&](SymbolId l) {
     ++label_type_out_counts_[LabelTypeKey(l, t)];
-  }
-  for (SymbolId l : node(tgt).labels) {
+  });
+  ForEachLabel(node(tgt), [&](SymbolId l) {
     ++label_type_in_counts_[LabelTypeKey(l, t)];
-  }
+  });
   if (observer_ != nullptr) {
     observer_->OnCreateRelationship(id, src, tgt, type, props);
   }
@@ -288,7 +400,8 @@ std::vector<NodeId> PropertyGraph::AllNodes() const {
 
 std::vector<std::string> PropertyGraph::NodeLabels(NodeId n) const {
   std::vector<std::string> out;
-  for (SymbolId s : node(n).labels) out.push_back(labels_.ToString(s));
+  ForEachLabel(node(n),
+               [&](SymbolId s) { out.push_back(labels_.ToString(s)); });
   return out;
 }
 
@@ -297,25 +410,17 @@ bool PropertyGraph::NodeHasLabel(NodeId n, std::string_view label) const {
   return s != kNoSymbol && NodeHasLabelId(n, s);
 }
 
-bool PropertyGraph::NodeHasLabelId(NodeId n, SymbolId label) const {
-  const auto& ls = node(n).labels;
-  return std::binary_search(ls.begin(), ls.end(), label);
-}
-
 bool PropertyGraph::AddLabel(NodeId n, std::string_view label) {
   AssertMutable();
   SymbolId s = labels_.Intern(label);
-  auto& ls = MutableNode(n)->labels;
-  auto it = std::lower_bound(ls.begin(), ls.end(), s);
-  if (it != ls.end() && *it == s) return false;
-  ls.insert(it, s);
+  if (!InsertLabel(MutableNode(n), s)) return false;
   MutablePosting(s)->push_back(n);
   ++label_counts_[s];
-  for (RelId r : node(n).out) {
-    ++label_type_out_counts_[LabelTypeKey(s, rel(r).type)];
+  for (const AdjEntry& e : OutRels(n)) {
+    ++label_type_out_counts_[LabelTypeKey(s, e.type)];
   }
-  for (RelId r : node(n).in) {
-    ++label_type_in_counts_[LabelTypeKey(s, rel(r).type)];
+  for (const AdjEntry& e : InRels(n)) {
+    ++label_type_in_counts_[LabelTypeKey(s, e.type)];
   }
   ++stats_version_;
   ++data_version_;
@@ -326,19 +431,16 @@ bool PropertyGraph::AddLabel(NodeId n, std::string_view label) {
 bool PropertyGraph::RemoveLabel(NodeId n, std::string_view label) {
   AssertMutable();
   SymbolId s = labels_.Lookup(label);
-  if (s == kNoSymbol) return false;
-  auto& ls = MutableNode(n)->labels;
-  auto it = std::lower_bound(ls.begin(), ls.end(), s);
-  if (it == ls.end() || *it != s) return false;
-  ls.erase(it);
+  if (!NodeHasLabelId(n, s)) return false;
+  EraseLabel(MutableNode(n), s);
   std::vector<NodeId>* idx = MutablePosting(s);
   idx->erase(std::remove(idx->begin(), idx->end(), n), idx->end());
   --label_counts_[s];
-  for (RelId r : node(n).out) {
-    --label_type_out_counts_[LabelTypeKey(s, rel(r).type)];
+  for (const AdjEntry& e : OutRels(n)) {
+    --label_type_out_counts_[LabelTypeKey(s, e.type)];
   }
-  for (RelId r : node(n).in) {
-    --label_type_in_counts_[LabelTypeKey(s, rel(r).type)];
+  for (const AdjEntry& e : InRels(n)) {
+    --label_type_in_counts_[LabelTypeKey(s, e.type)];
   }
   ++stats_version_;
   ++data_version_;
@@ -348,49 +450,14 @@ bool PropertyGraph::RemoveLabel(NodeId n, std::string_view label) {
 
 // ---- Properties ------------------------------------------------------------
 
-const Value& PropertyGraph::GetProp(
-    const std::vector<std::pair<SymbolId, Value>>& props, SymbolId key) {
-  static const Value kAbsent;  // ι is partial: absent keys read as null
-  if (key == kNoSymbol) return kAbsent;
-  for (const auto& [k, v] : props) {
-    if (k == key) return v;
-  }
-  return kAbsent;
-}
-
-int PropertyGraph::SetProp(std::vector<std::pair<SymbolId, Value>>* props,
-                           SymbolId key, Value v) {
-  for (auto it = props->begin(); it != props->end(); ++it) {
-    if (it->first == key) {
-      if (v.is_null()) {
-        props->erase(it);
-      } else {
-        it->second = std::move(v);
-      }
-      return 1;
-    }
-  }
-  if (v.is_null()) return 0;
-  props->emplace_back(key, std::move(v));
-  return 1;
-}
-
 const Value& PropertyGraph::NodeProperty(NodeId n,
                                          std::string_view key) const {
-  return GetProp(node(n).props, keys_.Lookup(key));
+  return GetProp(node(n), keys_.Lookup(key));
 }
 
 const Value& PropertyGraph::RelProperty(RelId r,
                                         std::string_view key) const {
-  return GetProp(rel(r).props, keys_.Lookup(key));
-}
-
-const Value& PropertyGraph::NodePropertyById(NodeId n, SymbolId key) const {
-  return GetProp(node(n).props, key);
-}
-
-const Value& PropertyGraph::RelPropertyById(RelId r, SymbolId key) const {
-  return GetProp(rel(r).props, key);
+  return GetProp(rel(r), keys_.Lookup(key));
 }
 
 int PropertyGraph::SetNodeProperty(NodeId n, std::string_view key, Value v) {
@@ -399,7 +466,7 @@ int PropertyGraph::SetNodeProperty(NodeId n, std::string_view key, Value v) {
   if (!v.is_null()) NoteNdv(&node_ndv_, k, v);
   Value observed;  // O(1) copy, taken before SetProp consumes v
   if (observer_ != nullptr) observed = v;
-  int changed = SetProp(&MutableNode(n)->props, k, std::move(v));
+  int changed = SetProp(MutableNode(n), k, std::move(v));
   if (changed != 0) {
     ++data_version_;
     if (observer_ != nullptr) observer_->OnSetNodeProperty(n, key, observed);
@@ -413,7 +480,7 @@ int PropertyGraph::SetRelProperty(RelId r, std::string_view key, Value v) {
   if (!v.is_null()) NoteNdv(&rel_ndv_, k, v);
   Value observed;  // O(1) copy, taken before SetProp consumes v
   if (observer_ != nullptr) observed = v;
-  int changed = SetProp(&MutableRel(r)->props, k, std::move(v));
+  int changed = SetProp(MutableRel(r), k, std::move(v));
   if (changed != 0) {
     ++data_version_;
     if (observer_ != nullptr) observer_->OnSetRelProperty(r, key, observed);
@@ -423,25 +490,33 @@ int PropertyGraph::SetRelProperty(RelId r, std::string_view key, Value v) {
 
 ValueMap PropertyGraph::NodeProperties(NodeId n) const {
   ValueMap out;
-  for (const auto& [k, v] : node(n).props) out[keys_.ToString(k)] = v;
+  ForEachProp(node(n), [&](SymbolId k, const Value& v) {
+    out[keys_.ToString(k)] = v;
+  });
   return out;
 }
 
 ValueMap PropertyGraph::RelProperties(RelId r) const {
   ValueMap out;
-  for (const auto& [k, v] : rel(r).props) out[keys_.ToString(k)] = v;
+  ForEachProp(rel(r), [&](SymbolId k, const Value& v) {
+    out[keys_.ToString(k)] = v;
+  });
   return out;
 }
 
 std::vector<std::string> PropertyGraph::NodePropertyKeys(NodeId n) const {
   std::vector<std::string> out;
-  for (const auto& [k, v] : node(n).props) out.push_back(keys_.ToString(k));
+  ForEachProp(node(n), [&](SymbolId k, const Value&) {
+    out.push_back(keys_.ToString(k));
+  });
   return out;
 }
 
 std::vector<std::string> PropertyGraph::RelPropertyKeys(RelId r) const {
   std::vector<std::string> out;
-  for (const auto& [k, v] : rel(r).props) out.push_back(keys_.ToString(k));
+  ForEachProp(rel(r), [&](SymbolId k, const Value&) {
+    out.push_back(keys_.ToString(k));
+  });
   return out;
 }
 
@@ -469,26 +544,25 @@ Status PropertyGraph::DeleteRelationship(RelId r) {
   SymbolId t = rec->type;
   NodeId src = rec->src;
   NodeId tgt = rec->tgt;
-  auto unlink = [r](std::vector<RelId>* v) {
-    v->erase(std::remove(v->begin(), v->end(), r), v->end());
-  };
-  unlink(&MutableNode(src)->out);
-  unlink(&MutableNode(tgt)->in);
+  Unlink(MutableNode(src), r, /*outgoing=*/true);
+  Unlink(MutableNode(tgt), r, /*outgoing=*/false);
   --type_counts_[t];
   // Directional statistics: endpoints' typed degrees moved d -> d-1.
   TypeDegreeStats& ds = type_degree_stats_[t];
   ShiftDegree(&ds.out_hist, &ds.distinct_sources,
-              TypedDegree(node(src).out, t) + 1, -1);
+              TypedDegree(OutRels(src), t) + 1, -1);
   ShiftDegree(&ds.in_hist, &ds.distinct_targets,
-              TypedDegree(node(tgt).in, t) + 1, -1);
-  for (SymbolId l : node(src).labels) {
+              TypedDegree(InRels(tgt), t) + 1, -1);
+  ForEachLabel(node(src), [&](SymbolId l) {
     --label_type_out_counts_[LabelTypeKey(l, t)];
-  }
-  for (SymbolId l : node(tgt).labels) {
+  });
+  ForEachLabel(node(tgt), [&](SymbolId l) {
     --label_type_in_counts_[LabelTypeKey(l, t)];
-  }
+  });
   rec->deleted = true;
-  rec->props.clear();
+  rec->prop_key = kNoSymbol;
+  rec->prop = Value();
+  rec->spill.Reset();
   --num_rels_;
   ++stats_version_;
   ++data_version_;
@@ -506,14 +580,16 @@ Status PropertyGraph::DeleteNode(NodeId n) {
         "cannot delete node with relationships; use DETACH DELETE");
   }
   NodeRecord* rec = MutableNode(n);
-  for (SymbolId s : rec->labels) {
+  ForEachLabel(*rec, [&](SymbolId s) {
     std::vector<NodeId>* idx = MutablePosting(s);
     idx->erase(std::remove(idx->begin(), idx->end(), n), idx->end());
     --label_counts_[s];
-  }
+  });
   rec->deleted = true;
-  rec->labels.clear();
-  rec->props.clear();
+  rec->label = kNoSymbol;
+  rec->prop_key = kNoSymbol;
+  rec->prop = Value();
+  rec->spill.Reset();
   --num_nodes_;
   ++stats_version_;
   ++data_version_;
@@ -526,15 +602,15 @@ Result<int64_t> PropertyGraph::DetachDeleteNode(NodeId n) {
     return Status::InvalidArgument("cannot mutate a frozen graph snapshot");
   }
   if (!IsNodeAlive(n)) return Status::InvalidArgument("node already deleted");
-  // Copy: DeleteRelationship mutates the adjacency vectors.
-  std::vector<RelId> incident = node(n).out;
-  incident.insert(incident.end(), node(n).in.begin(), node(n).in.end());
+  // Copy: DeleteRelationship mutates the adjacency vector.
+  const std::vector<AdjEntry>& adj = node(n).adj;
+  const std::vector<AdjEntry> incident(adj.begin(), adj.end());
   int64_t removed = 0;
-  for (RelId r : incident) {
-    // A self-loop appears in both `out` and `in`; the second occurrence
-    // is no longer alive and is (correctly) counted once, not twice.
-    if (IsRelAlive(r)) {
-      GQL_RETURN_IF_ERROR(DeleteRelationship(r));
+  for (const AdjEntry& e : incident) {
+    // A self-loop appears in both halves; the second occurrence is no
+    // longer alive and is (correctly) counted once, not twice.
+    if (IsRelAlive(e.rel)) {
+      GQL_RETURN_IF_ERROR(DeleteRelationship(e.rel));
       ++removed;
     }
   }
@@ -566,7 +642,7 @@ std::string PropertyGraph::Render(const Value& v) const {
       NodeId n = v.AsNode();
       if (!IsNodeAlive(n)) return "(deleted)";
       std::string out = "(";
-      for (SymbolId s : NodeLabelIds(n)) out += ":" + labels_.ToString(s);
+      for (const std::string& l : NodeLabels(n)) out += ":" + l;
       out += RenderProps(NodeProperties(n));
       return out + ")";
     }

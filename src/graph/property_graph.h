@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,6 +25,16 @@ class StorageInternals;
 /// Property list used when creating/updating entities.
 using PropertyList = std::vector<std::pair<std::string, Value>>;
 
+/// One entry of a node's adjacency: the relationship, the node at its
+/// other end and the relationship's type — everything Expand needs to
+/// filter by type and step to the neighbour without reading the
+/// relationship record.
+struct AdjEntry {
+  RelId rel;
+  NodeId other;
+  SymbolId type = kNoSymbol;
+};
+
 /// An in-memory property graph G = ⟨N, R, src, tgt, ι, λ, τ⟩ (§4.1):
 ///  * N, R      — dense slots of node/relationship records (with tombstones
 ///                so ids stay stable under deletion);
@@ -33,23 +44,40 @@ using PropertyList = std::vector<std::pair<std::string, Value>>;
 ///  * τ         — per-relationship type.
 ///
 /// The store keeps *direct adjacency references* — each node record holds
-/// its outgoing and incoming relationship ids — which is the structural
-/// property behind the paper's `Expand` operator ("the data representation
-/// of Neo4j contains direct references from each node via its edges to the
-/// related nodes", §2). A label index supports NodeByLabelScan.
+/// its incident relationships together with their other endpoint and
+/// type — which is the structural property behind the paper's `Expand`
+/// operator ("the data representation of Neo4j contains direct
+/// references from each node via its edges to the related nodes", §2).
+/// A label index supports NodeByLabelScan.
 ///
 /// Labels, relationship types and property keys are interned to dense ids.
 ///
+/// ## Record layout
+///
+/// Records live in pages of kPageSize records (one heap array per page),
+/// so reaching a record is one hop from the page table. The fields a
+/// scan or an Expand reads sit in the record itself:
+///  * a node record holds its smallest label id and its first property
+///    (key id and value) inline; further labels (sorted) and further
+///    properties (insertion order) spill to one heap block per record;
+///  * a relationship record holds src, tgt, type and its first property
+///    inline; further properties spill the same way;
+///  * a node's adjacency is one vector of AdjEntry: the outgoing half
+///    first, then the incoming half, each in creation order (a self-loop
+///    is in both halves). Expand reads type and neighbour from the entry
+///    and touches the relationship record only to read a property.
+/// Property order (keys(), properties()) is insertion order: removing the
+/// inline property moves the next one in.
+///
 /// ## Versioned snapshots (MVCC substrate)
 ///
-/// Node/relationship slots live in fixed-size copy-on-write pages
-/// (kPageSize records behind a shared_ptr), and each label-index posting
-/// list is likewise a shared payload. Snapshot() produces a new
-/// PropertyGraph that SHARES every page with this one — O(slots/kPageSize)
-/// pointer copies plus a schema-sized interner clone, independent of data
-/// volume. After a snapshot, the first mutation touching a page clones
-/// just that page (epoch-tagged: a page is written in place only while
-/// this graph object owns it exclusively), so
+/// Pages are copy-on-write (a page array behind a shared_ptr), and each
+/// label-index posting list is likewise a shared payload. Snapshot()
+/// produces a new PropertyGraph that SHARES every page with this one —
+/// O(slots/kPageSize) pointer copies plus a schema-sized interner clone,
+/// independent of data volume. After a snapshot, the first mutation
+/// touching a page clones just that page (epoch-tagged: a page is written
+/// in place only while this graph object owns it exclusively), so
 ///  * a snapshot is deeply immutable — reader threads traverse it without
 ///    any locking while the live graph keeps committing, and
 ///  * the live graph pays copy costs proportional to what it actually
@@ -65,11 +93,20 @@ using PropertyList = std::vector<std::pair<std::string, Value>>;
 /// the live graph must not be read while a writer mutates it — the engine
 /// enforces this by running readers on snapshots.
 ///
-/// References returned by accessors (NodeProperty, OutRels, ...) point
-/// into the record's current page payload; a later mutation of ANY record
-/// on the same page may copy-on-write the page and invalidate them. Copy
-/// the Value (O(1), shared payload) instead of holding references across
-/// mutations.
+/// References returned by accessors point into the current page payload
+/// or into a record's heap storage. On a graph that is written to:
+///  * any mutation of ANY record on the same page may copy-on-write the
+///    page and invalidate every reference into it;
+///  * NodeProperty/RelProperty (and the ById forms) are invalidated by a
+///    SET/REMOVE on the same entity (the inline value is overwritten or
+///    replaced by the next property; the spill block may reallocate) and
+///    by deleting it;
+///  * OutRels/InRels spans are invalidated by creating or deleting a
+///    relationship at that node (the adjacency vector shifts/reallocates);
+///  * NodesWithLabel is invalidated by any change to that label's members.
+/// Copy the Value (O(1), shared payload) or the entries instead of holding
+/// references across mutations. A frozen snapshot's references stay valid
+/// for the snapshot's lifetime.
 class PropertyGraph {
  public:
   PropertyGraph() = default;
@@ -131,13 +168,14 @@ class PropertyGraph {
 
   // ---- λ: labels ----------------------------------------------------------
 
-  /// Label set of a node, as interned ids (sorted ascending).
-  const std::vector<SymbolId>& NodeLabelIds(NodeId n) const {
-    return node(n).labels;
-  }
+  /// Label names of a node, in interned-id order.
   std::vector<std::string> NodeLabels(NodeId n) const;
   bool NodeHasLabel(NodeId n, std::string_view label) const;
-  bool NodeHasLabelId(NodeId n, SymbolId label) const;
+  bool NodeHasLabelId(NodeId n, SymbolId label) const {
+    const NodeRecord& rec = node(n);
+    if (rec.label == label) return label != kNoSymbol;
+    return rec.spill && SpillHasLabel(*rec.spill, label);
+  }
   /// Adds/removes a label; returns true if the label set changed.
   bool AddLabel(NodeId n, std::string_view label);
   bool RemoveLabel(NodeId n, std::string_view label);
@@ -153,10 +191,6 @@ class PropertyGraph {
 
   NodeId Source(RelId r) const { return rel(r).src; }
   NodeId Target(RelId r) const { return rel(r).tgt; }
-  /// The endpoint of `r` that is not `n` (for undirected traversal).
-  NodeId OtherEnd(RelId r, NodeId n) const {
-    return rel(r).src == n ? rel(r).tgt : rel(r).src;
-  }
 
   // ---- ι: properties ------------------------------------------------------
 
@@ -169,8 +203,12 @@ class PropertyGraph {
   /// ι by interned key id — the bound runtime resolves each key name to
   /// its id once per execution (keys().Lookup), then reads by id.
   /// kNoSymbol (a key this graph never saw) reads as null.
-  const Value& NodePropertyById(NodeId n, SymbolId key) const;
-  const Value& RelPropertyById(RelId r, SymbolId key) const;
+  const Value& NodePropertyById(NodeId n, SymbolId key) const {
+    return GetProp(node(n), key);
+  }
+  const Value& RelPropertyById(RelId r, SymbolId key) const {
+    return GetProp(rel(r), key);
+  }
   /// Sets (or, with a null value, removes) a property. Returns the number
   /// of properties added/changed (0 or 1).
   int SetNodeProperty(NodeId n, std::string_view key, Value v);
@@ -183,14 +221,20 @@ class PropertyGraph {
 
   // ---- Adjacency (the Expand substrate) -----------------------------------
 
-  const std::vector<RelId>& OutRels(NodeId n) const { return node(n).out; }
-  const std::vector<RelId>& InRels(NodeId n) const { return node(n).in; }
-  /// Incident slot count. NOTE: a self-loop appears in both `out` and
-  /// `in`, so Degree counts it twice — callers counting distinct incident
-  /// relationships (DETACH DELETE accounting) must not use this.
-  size_t Degree(NodeId n) const {
-    return node(n).out.size() + node(n).in.size();
+  /// Outgoing entries (other = target) / incoming entries (other =
+  /// source), each in relationship creation order.
+  std::span<const AdjEntry> OutRels(NodeId n) const {
+    const NodeRecord& rec = node(n);
+    return {rec.adj.data(), rec.out_count};
   }
+  std::span<const AdjEntry> InRels(NodeId n) const {
+    const NodeRecord& rec = node(n);
+    return std::span<const AdjEntry>(rec.adj).subspan(rec.out_count);
+  }
+  /// Incident entry count. NOTE: a self-loop appears in both halves, so
+  /// Degree counts it twice — callers counting distinct incident
+  /// relationships (DETACH DELETE accounting) must not use this.
+  size_t Degree(NodeId n) const { return node(n).adj.size(); }
 
   // ---- Label index ---------------------------------------------------------
 
@@ -299,23 +343,72 @@ class PropertyGraph {
  private:
   /// The serialization backdoor of src/storage/ (checkpoint encode/decode
   /// and WAL replay): the ONE class allowed to touch record pages,
-  /// interners and statistics directly, so the on-disk format can mirror
-  /// the in-memory layout bit for bit without widening the public API.
+  /// interners and statistics directly, so the on-disk format can carry
+  /// every record, tombstone and statistic verbatim without widening the
+  /// public API.
   friend class StorageInternals;
 
-  struct NodeRecord {
-    bool deleted = false;
-    std::vector<SymbolId> labels;  // sorted
+  /// Heap overflow of one record: the labels after the inline one
+  /// (sorted, nodes only) and the properties after the inline one
+  /// (insertion order).
+  struct Spill {
+    std::vector<SymbolId> labels;
     std::vector<std::pair<SymbolId, Value>> props;
-    std::vector<RelId> out;
-    std::vector<RelId> in;
+  };
+  /// Owning pointer to a record's Spill that copies the block along with
+  /// the record (a cloned page must not share spill storage with the
+  /// snapshot it was cloned from). Null until something spills.
+  class SpillPtr {
+   public:
+    SpillPtr() = default;
+    SpillPtr(const SpillPtr& o)
+        : p_(o.p_ ? std::make_unique<Spill>(*o.p_) : nullptr) {}
+    SpillPtr& operator=(const SpillPtr& o) {
+      if (this != &o) p_ = o.p_ ? std::make_unique<Spill>(*o.p_) : nullptr;
+      return *this;
+    }
+    SpillPtr(SpillPtr&&) = default;
+    SpillPtr& operator=(SpillPtr&&) = default;
+    explicit operator bool() const { return p_ != nullptr; }
+    const Spill& operator*() const { return *p_; }
+    const Spill* operator->() const { return p_.get(); }
+    /// The block, created on first use.
+    Spill* Mutable() {
+      if (!p_) p_ = std::make_unique<Spill>();
+      return p_.get();
+    }
+    /// Frees the block once nothing is left in it.
+    void ShrinkIfEmpty() {
+      if (p_ && p_->labels.empty() && p_->props.empty()) p_.reset();
+    }
+    void Reset() { p_.reset(); }
+
+   private:
+    std::unique_ptr<Spill> p_;
+  };
+
+  /// Field order puts what scans and Expand read (the inline property,
+  /// its key, the smallest label / the type and endpoints) first.
+  /// Invariants: `prop` is null when `prop_key` is kNoSymbol, and then
+  /// no property spills; `label` is kNoSymbol only for an unlabeled node
+  /// and is smaller than every spilled label. 88 / 80 bytes.
+  struct NodeRecord {
+    Value prop;
+    SymbolId prop_key = kNoSymbol;
+    SymbolId label = kNoSymbol;
+    uint32_t out_count = 0;  // adj[0, out_count) is the outgoing half
+    bool deleted = false;
+    std::vector<AdjEntry> adj;
+    SpillPtr spill;
   };
   struct RelRecord {
-    bool deleted = false;
+    Value prop;
+    SymbolId prop_key = kNoSymbol;
+    SymbolId type = kNoSymbol;
     NodeId src;
     NodeId tgt;
-    SymbolId type = kNoSymbol;
-    std::vector<std::pair<SymbolId, Value>> props;
+    bool deleted = false;
+    SpillPtr spill;
   };
 
   /// 64 records per copy-on-write page: small enough that a point write
@@ -335,7 +428,7 @@ class PropertyGraph {
     uint64_t epoch = 0;
   };
   template <typename Rec>
-  using PageVec = std::vector<Cow<std::vector<Rec>>>;
+  using PageVec = std::vector<Cow<Rec[]>>;
 
   /// Copy-on-write copy: shares every page/posting payload, clones the
   /// interners and count maps. The copy's epoch is advanced past every
@@ -343,10 +436,10 @@ class PropertyGraph {
   PropertyGraph(const PropertyGraph& other, bool frozen);
 
   const NodeRecord& node(NodeId n) const {
-    return (*node_pages_[n.id >> kPageBits].payload)[n.id & kPageMask];
+    return node_pages_[n.id >> kPageBits].payload[n.id & kPageMask];
   }
   const RelRecord& rel(RelId r) const {
-    return (*rel_pages_[r.id >> kPageBits].payload)[r.id & kPageMask];
+    return rel_pages_[r.id >> kPageBits].payload[r.id & kPageMask];
   }
   template <typename Rec>
   Rec* MutableSlot(PageVec<Rec>* pages, size_t id);
@@ -365,10 +458,53 @@ class PropertyGraph {
     assert(!frozen_ && "mutating a frozen graph snapshot");
   }
 
-  static const Value& GetProp(
-      const std::vector<std::pair<SymbolId, Value>>& props, SymbolId key);
-  static int SetProp(std::vector<std::pair<SymbolId, Value>>* props,
-                     SymbolId key, Value v);
+  /// ι over one record: the inline property first, then the spill.
+  /// A kNoSymbol key matches an empty inline slot, whose value is null.
+  template <typename Rec>
+  static const Value& GetProp(const Rec& rec, SymbolId key) {
+    if (rec.prop_key == key) return rec.prop;
+    return rec.spill ? SpillProp(*rec.spill, key) : NullValue();
+  }
+  static const Value& SpillProp(const Spill& spill, SymbolId key);
+  static const Value& NullValue();
+  static bool SpillHasLabel(const Spill& spill, SymbolId label);
+  /// Sets (null: removes) `key` on a record; returns 0 or 1 changed.
+  template <typename Rec>
+  static int SetProp(Rec* rec, SymbolId key, Value v);
+  /// Appends a property known to be absent (creation and decode).
+  template <typename Rec>
+  static void AppendProp(Rec* rec, SymbolId key, Value v) {
+    if (rec->prop_key == kNoSymbol) {
+      rec->prop_key = key;
+      rec->prop = std::move(v);
+    } else {
+      rec->spill.Mutable()->props.emplace_back(key, std::move(v));
+    }
+  }
+  /// Calls fn(key, value) for every property in order.
+  template <typename Rec, typename Fn>
+  static void ForEachProp(const Rec& rec, Fn&& fn) {
+    if (rec.prop_key == kNoSymbol) return;
+    fn(rec.prop_key, rec.prop);
+    if (rec.spill) {
+      for (const auto& [k, v] : rec.spill->props) fn(k, v);
+    }
+  }
+  /// Adds/removes `label` on a node record; false if it was already
+  /// present/absent.
+  static bool InsertLabel(NodeRecord* rec, SymbolId label);
+  static bool EraseLabel(NodeRecord* rec, SymbolId label);
+  /// Calls fn(label) for every label of the record, ascending.
+  template <typename Fn>
+  static void ForEachLabel(const NodeRecord& rec, Fn&& fn) {
+    if (rec.label == kNoSymbol) return;
+    fn(rec.label);
+    if (rec.spill) {
+      for (SymbolId s : rec.spill->labels) fn(s);
+    }
+  }
+  /// Removes `r` from the outgoing or incoming half of `rec`'s adjacency.
+  static void Unlink(NodeRecord* rec, RelId r, bool outgoing);
 
   /// Insert-only k-minimum-values distinct-count sketch: keeps the kK
   /// smallest distinct 64-bit hashes seen. Exact below kK (it simply
@@ -387,7 +523,7 @@ class PropertyGraph {
   /// floor(log2 d) clamped to the histogram width; d >= 1.
   static size_t DegreeBucket(size_t d);
   /// Count of relationships of `type` in the adjacency vector.
-  size_t TypedDegree(const std::vector<RelId>& adj, SymbolId type) const;
+  static size_t TypedDegree(std::span<const AdjEntry> adj, SymbolId type);
   /// Re-buckets one node whose typed degree changed from `before` to
   /// `before + delta` (delta is +1 or -1), keeping the distinct-endpoint
   /// count in sync (a node enters at degree 1, leaves at degree 0).

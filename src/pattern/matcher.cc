@@ -88,9 +88,10 @@ class Matcher {
   }
 
   /// Checks a relationship's type and property constraints.
-  Result<bool> RelConstraintsOk(const RelPattern& rp, RelId r) {
+  Result<bool> RelConstraintsOk(const RelPattern& rp, const AdjEntry& e) {
+    const RelId r = e.rel;
     if (!rp.types.empty()) {
-      const std::string& t = graph_.RelType(r);
+      const std::string& t = graph_.types().ToString(e.type);
       bool any = false;
       for (const auto& want : rp.types) {
         if (want == t) {
@@ -109,31 +110,20 @@ class Matcher {
     return true;
   }
 
-  /// Candidate step along `r` from `cur` honoring the pattern direction
-  /// (§4.2 condition (e′)). Returns the next node, or nullopt if `r` does
-  /// not connect in the required way. `from_out` says whether `r` was
-  /// found in cur's outgoing adjacency.
-  std::optional<NodeId> Step(const RelPattern& rp, RelId r, NodeId cur,
-                             bool from_out) {
-    NodeId src = graph_.Source(r);
-    NodeId tgt = graph_.Target(r);
-    switch (rp.direction) {
-      case Direction::kRight:
-        if (src == cur) return tgt;
-        return std::nullopt;
-      case Direction::kLeft:
-        if (tgt == cur) return src;
-        return std::nullopt;
-      case Direction::kBoth:
-        // Self loops appear in both adjacency lists; count them once (the
-        // (e′) condition is a set membership, satisfied one way).
-        if (src == tgt) {
-          if (!from_out) return std::nullopt;
-          return tgt;
-        }
-        return from_out ? tgt : src;
+  /// Candidate step along adjacency entry `e` of `cur` honoring the
+  /// pattern direction (§4.2 condition (e′)). Returns the next node, or
+  /// nullopt if the entry does not connect in the required way.
+  /// `from_out` says whether `e` is in cur's outgoing half; only the
+  /// direction-relevant half (or halves) is walked, so a `->` step only
+  /// sees outgoing entries and a `<-` step only incoming ones.
+  static std::optional<NodeId> Step(const RelPattern& rp, const AdjEntry& e,
+                                    NodeId cur, bool from_out) {
+    // Self loops appear in both halves; count them once (the (e′)
+    // condition is a set membership, satisfied one way).
+    if (rp.direction == Direction::kBoth && !from_out && e.other == cur) {
+      return std::nullopt;
     }
-    return std::nullopt;
+    return e.other;
   }
 
   bool RelUsable(RelId r) {
@@ -273,12 +263,13 @@ class Matcher {
     if (depth >= hi) return true;
     const RelPattern& rp = path.hops[hop_idx].rel;
 
-    auto try_rel = [&](RelId r, bool from_out) -> Result<bool> {
-      std::optional<NodeId> next = Step(rp, r, cur, from_out);
+    auto try_rel = [&](const AdjEntry& e, bool from_out) -> Result<bool> {
+      const RelId r = e.rel;
+      std::optional<NodeId> next = Step(rp, e, cur, from_out);
       if (!next) return true;
       if (!RelUsable(r)) return true;
       if (!NodeUsable(*next)) return true;
-      GQL_ASSIGN_OR_RETURN(bool ok, RelConstraintsOk(rp, r));
+      GQL_ASSIGN_OR_RETURN(bool ok, RelConstraintsOk(rp, e));
       if (!ok) return true;
 
       used_rels_.insert(r.id);
@@ -308,14 +299,14 @@ class Matcher {
     // the direction-relevant list(s) (plus the from_out dedup in Step)
     // guarantees it is considered exactly once per hop step.
     if (rp.direction != Direction::kLeft) {
-      for (RelId r : graph_.OutRels(cur)) {
-        GQL_ASSIGN_OR_RETURN(bool cont, try_rel(r, true));
+      for (const AdjEntry& e : graph_.OutRels(cur)) {
+        GQL_ASSIGN_OR_RETURN(bool cont, try_rel(e, true));
         if (!cont) return false;
       }
     }
     if (rp.direction != Direction::kRight) {
-      for (RelId r : graph_.InRels(cur)) {
-        GQL_ASSIGN_OR_RETURN(bool cont, try_rel(r, false));
+      for (const AdjEntry& e : graph_.InRels(cur)) {
+        GQL_ASSIGN_OR_RETURN(bool cont, try_rel(e, false));
         if (!cont) return false;
       }
     }

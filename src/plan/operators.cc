@@ -37,9 +37,8 @@ bool RelAlreadyUsed(RelId r, const ValueList& row,
 
 /// Type check against the spec's pre-resolved type ids (see
 /// ExpandSpec::type_ids) — one integer compare per wanted type.
-bool TypeOk(const PropertyGraph& g, const ExpandSpec& spec, RelId r) {
+bool TypeOk(const ExpandSpec& spec, SymbolId t) {
   if (spec.type_ids.empty()) return true;
-  SymbolId t = g.RelTypeId(r);
   for (SymbolId want : spec.type_ids) {
     if (want == t) return true;
   }
@@ -217,43 +216,29 @@ Status ExpandOp::Open() {
   return child_->Open();
 }
 
-Result<bool> ExpandOp::RelMatches(RelId r, const ValueList& row,
-                                  NodeId* next) {
-  const PropertyGraph& g = *ctx_->graph;
-  if (!TypeOk(g, spec_, r)) return false;
+Result<bool> ExpandOp::RelMatches(const AdjEntry& e, const ValueList& row) {
+  if (!TypeOk(spec_, e.type)) return false;
   if (ctx_->match.morphism != Morphism::kHomomorphism &&
-      RelAlreadyUsed(r, row, spec_.uniqueness_cols)) {
+      RelAlreadyUsed(e.rel, row, spec_.uniqueness_cols)) {
     return false;
   }
-  GQL_ASSIGN_OR_RETURN(bool props_ok, props_.Ok(*ctx_, bound_props_, row, r));
-  if (!props_ok) return false;
+  // The only check that reads the relationship record; it stays ahead of
+  // the row checks below so a constraint expression is evaluated exactly
+  // when the reference matcher evaluates it.
+  if (!bound_props_.empty()) {
+    GQL_ASSIGN_OR_RETURN(bool props_ok,
+                         props_.Ok(*ctx_, bound_props_, row, e.rel));
+    if (!props_ok) return false;
+  }
   if (spec_.bound_rel_col >= 0) {
     const Value& bound = row[spec_.bound_rel_col];
-    if (!bound.is_relationship() || !(bound.AsRelationship() == r)) {
+    if (!bound.is_relationship() || !(bound.AsRelationship() == e.rel)) {
       return false;
     }
   }
-  NodeId from = row[spec_.from_col].AsNode();
-  NodeId src = g.Source(r);
-  NodeId tgt = g.Target(r);
-  switch (spec_.direction) {
-    case ast::Direction::kRight:
-      if (src != from) return false;
-      *next = tgt;
-      break;
-    case ast::Direction::kLeft:
-      if (tgt != from) return false;
-      *next = src;
-      break;
-    case ast::Direction::kBoth:
-      *next = (src == from) ? tgt : src;
-      break;
-  }
-  if (spec_.to_col >= 0) {
-    const Value& want = row[spec_.to_col];
-    if (!want.is_node() || !(want.AsNode() == *next)) return false;
-  }
-  return true;
+  if (spec_.to_col < 0) return true;
+  const Value& want = row[spec_.to_col];
+  return want.is_node() && want.AsNode() == e.other;
 }
 
 Result<bool> ExpandOp::NextBatchImpl(RowBatch* out) {
@@ -270,31 +255,26 @@ Result<bool> ExpandOp::NextBatchImpl(RowBatch* out) {
       continue;
     }
     NodeId from = from_v.AsNode();
-    const auto& out_rels = g.OutRels(from);
-    const auto& in_rels = g.InRels(from);
+    const auto out_rels = g.OutRels(from);
+    const auto in_rels = g.InRels(from);
     // Adjacency sequence: only the half (or halves) the direction emits
     // from — `->` the out-relationships, `<-` the in-relationships, `--`
     // out then in, skipping self-loops in the in half so undirected
-    // traversal sees them once.
+    // traversal sees them once. Either way the entry's `other` is the
+    // next node.
     const bool walk_out = spec_.direction != ast::Direction::kLeft;
     const bool walk_in = spec_.direction != ast::Direction::kRight;
     const size_t out_n = walk_out ? out_rels.size() : 0;
     const size_t total = out_n + (walk_in ? in_rels.size() : 0);
     while (adj_pos_ < total && !out->full()) {
       size_t i = adj_pos_++;
-      RelId r;
-      if (i < out_n) {
-        r = out_rels[i];
-      } else {
-        r = in_rels[i - out_n];
-        if (walk_out && g.Source(r) == g.Target(r)) continue;
-      }
-      NodeId next;
-      GQL_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(r, *in, &next));
+      const AdjEntry& e = i < out_n ? out_rels[i] : in_rels[i - out_n];
+      if (i >= out_n && walk_out && e.other == from) continue;
+      GQL_ASSIGN_OR_RETURN(bool rel_ok, RelMatches(e, *in));
       if (!rel_ok) continue;
       ValueList& row = out->AppendFrom(*in);
-      if (!spec_.rel_var.empty()) row.push_back(Value::Relationship(r));
-      if (spec_.to_col < 0) row.push_back(Value::Node(next));
+      if (!spec_.rel_var.empty()) row.push_back(Value::Relationship(e.rel));
+      if (spec_.to_col < 0) row.push_back(Value::Node(e.other));
     }
     if (adj_pos_ >= total) {
       input_.Advance();
@@ -343,20 +323,16 @@ Status HashJoinExpandOp::Open() {
     for (size_t i = 0; i < g.NumRelSlots(); ++i) {
       RelId r{i};
       if (!g.IsRelAlive(r)) continue;
-      if (!TypeOk(g, spec_, r)) continue;
-      switch (spec_.direction) {
-        case ast::Direction::kRight:
-          index_.emplace(g.Source(r).id, r.id);
-          break;
-        case ast::Direction::kLeft:
-          index_.emplace(g.Target(r).id, r.id);
-          break;
-        case ast::Direction::kBoth:
-          index_.emplace(g.Source(r).id, r.id);
-          if (!(g.Source(r) == g.Target(r))) {
-            index_.emplace(g.Target(r).id, r.id);
-          }
-          break;
+      SymbolId t = g.RelTypeId(r);
+      if (!TypeOk(spec_, t)) continue;
+      NodeId src = g.Source(r);
+      NodeId tgt = g.Target(r);
+      if (spec_.direction != ast::Direction::kLeft) {
+        index_.emplace(src.id, AdjEntry{r, tgt, t});
+      }
+      if (spec_.direction == ast::Direction::kLeft ||
+          (spec_.direction == ast::Direction::kBoth && src != tgt)) {
+        index_.emplace(tgt.id, AdjEntry{r, src, t});
       }
     }
     built_ = true;
@@ -366,7 +342,6 @@ Status HashJoinExpandOp::Open() {
 }
 
 Result<bool> HashJoinExpandOp::NextBatchImpl(RowBatch* out) {
-  const PropertyGraph& g = *ctx_->graph;
   while (!out->full()) {
     GQL_ASSIGN_OR_RETURN(const ValueList* in,
                          input_.Current(child_.get(), out->capacity()));
@@ -382,7 +357,8 @@ Result<bool> HashJoinExpandOp::NextBatchImpl(RowBatch* out) {
       props_.Reset();
     }
     while (range_.first != range_.second && !out->full()) {
-      RelId r{range_.first->second};
+      const AdjEntry& e = range_.first->second;
+      RelId r = e.rel;
       ++range_.first;
       if (ctx_->match.morphism != Morphism::kHomomorphism &&
           RelAlreadyUsed(r, *in, spec_.uniqueness_cols)) {
@@ -397,17 +373,13 @@ Result<bool> HashJoinExpandOp::NextBatchImpl(RowBatch* out) {
       GQL_ASSIGN_OR_RETURN(bool props_ok,
                            props_.Ok(*ctx_, bound_props_, *in, r));
       if (!props_ok) continue;
-      NodeId from = (*in)[spec_.from_col].AsNode();
-      NodeId next = g.OtherEnd(r, from);
-      if (spec_.direction == ast::Direction::kRight) next = g.Target(r);
-      if (spec_.direction == ast::Direction::kLeft) next = g.Source(r);
       if (spec_.to_col >= 0) {
         const Value& want = (*in)[spec_.to_col];
-        if (!want.is_node() || !(want.AsNode() == next)) continue;
+        if (!want.is_node() || !(want.AsNode() == e.other)) continue;
       }
       ValueList& row = out->AppendFrom(*in);
       if (!spec_.rel_var.empty()) row.push_back(Value::Relationship(r));
-      if (spec_.to_col < 0) row.push_back(Value::Node(next));
+      if (spec_.to_col < 0) row.push_back(Value::Node(e.other));
     }
     if (range_.first == range_.second) {
       probing_ = false;
@@ -516,8 +488,9 @@ Status VarLengthExpandOp::ExpandBatch() {
       const FrontierEntry& e = frontier_[ei];
       const RelId* path = cur_paths_.data() + ei * stride;
       const ValueList& in = input_.row(e.row);
-      auto consider = [&](RelId r, bool from_out) -> Status {
-        if (!TypeOk(g, spec_, r)) return Status::OK();
+      auto consider = [&](const AdjEntry& adj, bool from_out) -> Status {
+        const RelId r = adj.rel;
+        if (!TypeOk(spec_, adj.type)) return Status::OK();
         // Within-path uniqueness plus clause-level uniqueness columns.
         if (ctx_->match.morphism != Morphism::kHomomorphism) {
           for (size_t k = 0; k < stride; ++k) {
@@ -532,23 +505,13 @@ Status VarLengthExpandOp::ExpandBatch() {
                                wants[e.row].Ok(*ctx_, bound_props_, in, r));
           if (!props_ok) return Status::OK();
         }
-        NodeId src = g.Source(r);
-        NodeId tgt = g.Target(r);
-        NodeId next;
-        switch (spec_.direction) {
-          case ast::Direction::kRight:
-            if (src != e.node) return Status::OK();
-            next = tgt;
-            break;
-          case ast::Direction::kLeft:
-            if (tgt != e.node) return Status::OK();
-            next = src;
-            break;
-          case ast::Direction::kBoth:
-            if (src == tgt && !from_out) return Status::OK();  // once
-            next = (src == e.node) ? tgt : src;
-            break;
+        // A self-loop is in both halves; undirected traversal takes it
+        // from the outgoing half only.
+        if (!from_out && spec_.direction == ast::Direction::kBoth &&
+            adj.other == e.node) {
+          return Status::OK();
         }
+        const NodeId next = adj.other;
         // Materialize the extension at the next arena's tail; keep it
         // only if it seeds the next level.
         size_t base = next_paths_.size();
@@ -567,13 +530,13 @@ Status VarLengthExpandOp::ExpandBatch() {
         return Status::OK();
       };
       if (spec_.direction != ast::Direction::kLeft) {
-        for (RelId r : g.OutRels(e.node)) {
-          GQL_RETURN_IF_ERROR(consider(r, true));
+        for (const AdjEntry& adj : g.OutRels(e.node)) {
+          GQL_RETURN_IF_ERROR(consider(adj, true));
         }
       }
       if (spec_.direction != ast::Direction::kRight) {
-        for (RelId r : g.InRels(e.node)) {
-          GQL_RETURN_IF_ERROR(consider(r, false));
+        for (const AdjEntry& adj : g.InRels(e.node)) {
+          GQL_RETURN_IF_ERROR(consider(adj, false));
         }
       }
     }

@@ -331,7 +331,7 @@ class ExpandOp : public Operator {
   std::string Describe() const override;
 
  private:
-  Result<bool> RelMatches(RelId r, const ValueList& row, NodeId* next);
+  Result<bool> RelMatches(const AdjEntry& e, const ValueList& row);
   ExecContext* ctx_;
   ExpandSpec spec_;
   BoundRelProps bound_props_;
@@ -355,13 +355,12 @@ class HashJoinExpandOp : public Operator {
   ExecContext* ctx_;
   ExpandSpec spec_;
   BoundRelProps bound_props_;
-  std::unordered_multimap<uint64_t, uint64_t> index_;  // node id → rel id
+  using Index = std::unordered_multimap<uint64_t, AdjEntry>;
+  Index index_;  // node id → the entry seen from that node
   BatchCursor input_;
   bool probing_ = false;
   LazyPropWants props_;
-  std::pair<std::unordered_multimap<uint64_t, uint64_t>::const_iterator,
-            std::unordered_multimap<uint64_t, uint64_t>::const_iterator>
-      range_;
+  std::pair<Index::const_iterator, Index::const_iterator> range_;
   bool built_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "src/storage/checkpoint.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,26 +48,9 @@ Status DecodeInterner(BinaryReader* r, StringInterner* interner) {
   return Status::OK();
 }
 
-void EncodeProps(const std::vector<std::pair<SymbolId, Value>>& props,
-                 BinaryWriter* w) {
-  w->PutU32(static_cast<uint32_t>(props.size()));
-  for (const auto& [k, v] : props) {
-    w->PutU32(k);
-    w->PutValue(v);
-  }
-}
-
-Status DecodeProps(BinaryReader* r,
-                   std::vector<std::pair<SymbolId, Value>>* props) {
-  GQL_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  if (n > r->remaining()) return Status::Corruption("prop count too large");
-  props->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    GQL_ASSIGN_OR_RETURN(uint32_t k, r->U32());
-    GQL_ASSIGN_OR_RETURN(Value v, r->ReadValue());
-    props->emplace_back(k, std::move(v));
-  }
-  return Status::OK();
+void EncodeAdjacency(std::span<const AdjEntry> adj, BinaryWriter* w) {
+  w->PutU32(static_cast<uint32_t>(adj.size()));
+  for (const AdjEntry& e : adj) w->PutU64(e.rel.id);
 }
 
 }  // namespace
@@ -86,18 +70,31 @@ void StorageInternals::EncodeGraph(const PropertyGraph& g, uint64_t last_lsn,
   EncodeInterner(g.types_, &w);
   EncodeInterner(g.keys_, &w);
 
+  auto encode_props = [&w](const auto& rec) {
+    uint32_t count = 0;
+    PropertyGraph::ForEachProp(rec, [&](SymbolId, const Value&) { ++count; });
+    w.PutU32(count);
+    PropertyGraph::ForEachProp(rec, [&](SymbolId k, const Value& v) {
+      w.PutU32(k);
+      w.PutValue(v);
+    });
+  };
+
   // Records, in slot order, tombstones included — slot ids ARE the
   // entity ids, so the dump preserves them by construction.
   for (size_t i = 0; i < g.node_slots_; ++i) {
-    const PropertyGraph::NodeRecord& rec = g.node(NodeId{i});
+    NodeId n{i};
+    const PropertyGraph::NodeRecord& rec = g.node(n);
     w.PutU8(rec.deleted ? 1 : 0);
-    w.PutU32(static_cast<uint32_t>(rec.labels.size()));
-    for (SymbolId s : rec.labels) w.PutU32(s);
-    EncodeProps(rec.props, &w);
-    w.PutU32(static_cast<uint32_t>(rec.out.size()));
-    for (RelId r : rec.out) w.PutU64(r.id);
-    w.PutU32(static_cast<uint32_t>(rec.in.size()));
-    for (RelId r : rec.in) w.PutU64(r.id);
+    uint32_t num_labels = 0;
+    PropertyGraph::ForEachLabel(rec, [&](SymbolId) { ++num_labels; });
+    w.PutU32(num_labels);
+    PropertyGraph::ForEachLabel(rec, [&](SymbolId s) { w.PutU32(s); });
+    encode_props(rec);
+    // Adjacency entries persist as relationship ids only; decode derives
+    // the neighbour and type from the relationship records.
+    EncodeAdjacency(g.OutRels(n), &w);
+    EncodeAdjacency(g.InRels(n), &w);
   }
   for (size_t i = 0; i < g.rel_slots_; ++i) {
     const PropertyGraph::RelRecord& rec = g.rel(RelId{i});
@@ -105,7 +102,7 @@ void StorageInternals::EncodeGraph(const PropertyGraph& g, uint64_t last_lsn,
     w.PutU64(rec.src.id);
     w.PutU64(rec.tgt.id);
     w.PutU32(rec.type);
-    EncodeProps(rec.props, &w);
+    encode_props(rec);
   }
 
   // Label-index postings, verbatim (posting order is observable via
@@ -198,6 +195,21 @@ Result<RecoveredGraph> StorageInternals::DecodeGraph(std::string_view body) {
   GQL_RETURN_IF_ERROR(DecodeInterner(&r, &g.types_));
   GQL_RETURN_IF_ERROR(DecodeInterner(&r, &g.keys_));
 
+  auto decode_props = [&r, &g](auto* rec) -> Status {
+    GQL_ASSIGN_OR_RETURN(uint32_t n, r.U32());
+    if (n > r.remaining()) return Status::Corruption("prop count too large");
+    for (uint32_t i = 0; i < n; ++i) {
+      GQL_ASSIGN_OR_RETURN(uint32_t k, r.U32());
+      if (k == kNoSymbol || k >= g.keys_.size()) {
+        return Status::Corruption("unknown property key " +
+                                  std::to_string(k));
+      }
+      GQL_ASSIGN_OR_RETURN(Value v, r.ReadValue());
+      PropertyGraph::AppendProp(rec, k, std::move(v));
+    }
+    return Status::OK();
+  };
+
   for (uint64_t i = 0; i < node_slots; ++i) {
     PropertyGraph::NodeRecord* rec =
         g.AppendSlot(&g.node_pages_, &g.node_slots_);
@@ -205,25 +217,32 @@ Result<RecoveredGraph> StorageInternals::DecodeGraph(std::string_view body) {
     rec->deleted = deleted != 0;
     GQL_ASSIGN_OR_RETURN(uint32_t nl, r.U32());
     if (nl > r.remaining()) return Status::Corruption("label set too large");
-    rec->labels.reserve(nl);
+    SymbolId prev = kNoSymbol;
     for (uint32_t j = 0; j < nl; ++j) {
       GQL_ASSIGN_OR_RETURN(uint32_t s, r.U32());
-      rec->labels.push_back(s);
+      if (s <= prev || s >= g.labels_.size()) {
+        return Status::Corruption("label set not sorted or unknown label");
+      }
+      PropertyGraph::InsertLabel(rec, s);
+      prev = s;
     }
-    GQL_RETURN_IF_ERROR(DecodeProps(&r, &rec->props));
-    GQL_ASSIGN_OR_RETURN(uint32_t nout, r.U32());
-    if (nout > r.remaining()) return Status::Corruption("adjacency too large");
-    rec->out.reserve(nout);
-    for (uint32_t j = 0; j < nout; ++j) {
-      GQL_ASSIGN_OR_RETURN(uint64_t id, r.U64());
-      rec->out.push_back(RelId{id});
-    }
-    GQL_ASSIGN_OR_RETURN(uint32_t nin, r.U32());
-    if (nin > r.remaining()) return Status::Corruption("adjacency too large");
-    rec->in.reserve(nin);
-    for (uint32_t j = 0; j < nin; ++j) {
-      GQL_ASSIGN_OR_RETURN(uint64_t id, r.U64());
-      rec->in.push_back(RelId{id});
+    GQL_RETURN_IF_ERROR(decode_props(rec));
+    // Out then in, ids only for now: the neighbour and type are filled
+    // in (and checked) once the relationship records are decoded.
+    for (bool outgoing : {true, false}) {
+      GQL_ASSIGN_OR_RETURN(uint32_t count, r.U32());
+      if (count > r.remaining()) {
+        return Status::Corruption("adjacency too large");
+      }
+      for (uint32_t j = 0; j < count; ++j) {
+        GQL_ASSIGN_OR_RETURN(uint64_t id, r.U64());
+        if (id >= rel_slots) {
+          return Status::Corruption("adjacency names relationship " +
+                                    std::to_string(id) + " past the slots");
+        }
+        rec->adj.push_back(AdjEntry{RelId{id}, NodeId{}, kNoSymbol});
+      }
+      if (outgoing) rec->out_count = count;
     }
   }
   for (uint64_t i = 0; i < rel_slots; ++i) {
@@ -232,10 +251,31 @@ Result<RecoveredGraph> StorageInternals::DecodeGraph(std::string_view body) {
     rec->deleted = deleted != 0;
     GQL_ASSIGN_OR_RETURN(uint64_t src, r.U64());
     GQL_ASSIGN_OR_RETURN(uint64_t tgt, r.U64());
+    if (src >= node_slots || tgt >= node_slots) {
+      return Status::Corruption("relationship " + std::to_string(i) +
+                                " has an endpoint past the node slots");
+    }
     rec->src = NodeId{src};
     rec->tgt = NodeId{tgt};
     GQL_ASSIGN_OR_RETURN(rec->type, r.U32());
-    GQL_RETURN_IF_ERROR(DecodeProps(&r, &rec->props));
+    GQL_RETURN_IF_ERROR(decode_props(rec));
+  }
+  for (uint64_t i = 0; i < node_slots; ++i) {
+    NodeId n{i};
+    PropertyGraph::NodeRecord* rec = g.MutableNode(n);
+    for (size_t j = 0; j < rec->adj.size(); ++j) {
+      AdjEntry& e = rec->adj[j];
+      const PropertyGraph::RelRecord& rel = g.rel(e.rel);
+      const bool outgoing = j < rec->out_count;
+      if (rel.deleted || (outgoing ? rel.src : rel.tgt) != n) {
+        return Status::Corruption(
+            "node " + std::to_string(i) + " lists relationship " +
+            std::to_string(e.rel.id) + " that does not " +
+            (outgoing ? "start" : "end") + " there");
+      }
+      e.other = outgoing ? rel.tgt : rel.src;
+      e.type = rel.type;
+    }
   }
 
   {
@@ -251,6 +291,10 @@ Result<RecoveredGraph> StorageInternals::DecodeGraph(std::string_view body) {
       posting->reserve(count);
       for (uint32_t j = 0; j < count; ++j) {
         GQL_ASSIGN_OR_RETURN(uint64_t id, r.U64());
+        if (id >= node_slots) {
+          return Status::Corruption("posting list names node " +
+                                    std::to_string(id) + " past the slots");
+        }
         posting->push_back(NodeId{id});
       }
       auto& entry = g.label_index_[s];

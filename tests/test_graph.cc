@@ -5,6 +5,7 @@
 #include "src/graph/property_graph.h"
 #include "src/workload/generators.h"
 #include "src/workload/paper_graphs.h"
+#include "tests/graph_invariants.h"
 
 namespace gqlite {
 namespace {
@@ -64,10 +65,15 @@ TEST(PropertyGraph, AdjacencyIsDirect) {
   EXPECT_EQ(g.OutRels(a).size(), 2u);
   EXPECT_EQ(g.InRels(a).size(), 1u);
   EXPECT_EQ(g.Degree(a), 3u);
-  EXPECT_EQ(g.OtherEnd(r1, a), b);
-  EXPECT_EQ(g.OtherEnd(r1, b), a);
-  EXPECT_EQ(g.OtherEnd(r2, a), c);
-  EXPECT_EQ(g.OtherEnd(r3, a), b);
+  // Each entry names the neighbour across it.
+  EXPECT_EQ(g.OutRels(a)[0].rel, r1);
+  EXPECT_EQ(g.OutRels(a)[0].other, b);
+  EXPECT_EQ(g.InRels(b)[0].rel, r1);
+  EXPECT_EQ(g.InRels(b)[0].other, a);
+  EXPECT_EQ(g.OutRels(a)[1].rel, r2);
+  EXPECT_EQ(g.OutRels(a)[1].other, c);
+  EXPECT_EQ(g.InRels(a)[0].rel, r3);
+  EXPECT_EQ(g.InRels(a)[0].other, b);
 }
 
 TEST(PropertyGraph, LabelIndex) {
@@ -244,6 +250,177 @@ TEST(Snapshot, DataVersionTracksEveryMutation) {
   v = g.data_version();
   EXPECT_EQ(g.SetNodeProperty(a, "absent", Value::Null()), 0);
   EXPECT_EQ(g.data_version(), v);
+}
+
+// ---- Record layout ----------------------------------------------------------
+
+using Ids = std::vector<uint64_t>;
+
+TEST(Layout, AdjacencyEntriesFollowCreateDeleteAndSelfLoops) {
+  PropertyGraph g;
+  NodeId a = g.CreateNode({"A"});
+  NodeId b = g.CreateNode({"B"});
+  NodeId c = g.CreateNode();
+  RelId ab = g.CreateRelationship(a, b, "T").value();
+  RelId aa = g.CreateRelationship(a, a, "LOOP").value();
+  RelId ba = g.CreateRelationship(b, a, "U").value();
+  RelId ac = g.CreateRelationship(a, c, "T").value();
+  RelId aa2 = g.CreateRelationship(a, a, "LOOP").value();
+  ASSERT_TRUE(AdjacencyConsistent(g));
+  // An outgoing entry created after incoming ones still lands in the
+  // outgoing half, behind the earlier outgoing entries.
+  EXPECT_EQ(AdjRelIds(g, a, true), (Ids{ab.id, aa.id, ac.id, aa2.id}));
+  EXPECT_EQ(AdjRelIds(g, a, false), (Ids{aa.id, ba.id, aa2.id}));
+  EXPECT_EQ(g.OutRels(a)[0].other, b);
+  EXPECT_EQ(g.OutRels(a)[0].type, g.LookupType("T"));
+  EXPECT_EQ(g.InRels(a)[1].other, b);
+  EXPECT_EQ(g.InRels(a)[1].type, g.LookupType("U"));
+  EXPECT_EQ(g.Degree(a), 7u);  // each self-loop counts twice
+
+  ASSERT_TRUE(g.DeleteRelationship(aa).ok());
+  ASSERT_TRUE(AdjacencyConsistent(g));
+  EXPECT_EQ(AdjRelIds(g, a, true), (Ids{ab.id, ac.id, aa2.id}));
+  EXPECT_EQ(AdjRelIds(g, a, false), (Ids{ba.id, aa2.id}));
+  ASSERT_TRUE(g.DeleteRelationship(ab).ok());
+  ASSERT_TRUE(AdjacencyConsistent(g));
+  EXPECT_EQ(AdjRelIds(g, b, false), Ids{});
+  EXPECT_EQ(AdjRelIds(g, b, true), Ids{ba.id});
+
+  // DETACH DELETE through a self-loop counts it once.
+  auto removed = g.DetachDeleteNode(a);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(*removed, 3);  // ba, ac, aa2
+  ASSERT_TRUE(AdjacencyConsistent(g));
+  EXPECT_EQ(g.Degree(b), 0u);
+  EXPECT_EQ(g.Degree(c), 0u);
+  RelId cb = g.CreateRelationship(c, b, "T").value();
+  ASSERT_TRUE(AdjacencyConsistent(g));
+  EXPECT_EQ(AdjRelIds(g, c, true), Ids{cb.id});
+}
+
+TEST(Layout, LabelsSpillPastTheInlineOneAndStaySorted) {
+  PropertyGraph g;
+  // Intern in a known order: Z < Y < X < W by id.
+  NodeId n = g.CreateNode({"Z", "Y", "X", "W"});
+  NodeId m = g.CreateNode({"Y"});
+  ASSERT_TRUE(g.CreateRelationship(n, m, "T").ok());
+  ASSERT_TRUE(g.CreateRelationship(m, n, "U").ok());
+  EXPECT_EQ(g.NodeLabels(n),
+            (std::vector<std::string>{"Z", "Y", "X", "W"}));
+  // Remove the inline (smallest) label: the next one moves in.
+  EXPECT_TRUE(g.RemoveLabel(n, "Z"));
+  EXPECT_FALSE(g.RemoveLabel(n, "Z"));
+  EXPECT_EQ(g.NodeLabels(n), (std::vector<std::string>{"Y", "X", "W"}));
+  // Re-adding a label smaller than the inline one pushes it to the spill.
+  EXPECT_TRUE(g.AddLabel(n, "Z"));
+  EXPECT_FALSE(g.AddLabel(n, "Z"));
+  EXPECT_FALSE(g.AddLabel(n, "X"));
+  EXPECT_EQ(g.NodeLabels(n),
+            (std::vector<std::string>{"Z", "Y", "X", "W"}));
+  EXPECT_TRUE(g.RemoveLabel(n, "X"));
+  EXPECT_TRUE(g.RemoveLabel(n, "W"));
+  EXPECT_TRUE(g.RemoveLabel(n, "Z"));
+  EXPECT_EQ(g.NodeLabels(n), (std::vector<std::string>{"Y"}));
+  EXPECT_TRUE(g.RemoveLabel(n, "Y"));
+  EXPECT_TRUE(g.NodeLabels(n).empty());
+  EXPECT_FALSE(g.NodeHasLabelId(n, kNoSymbol));
+  EXPECT_FALSE(g.AddLabel(n, ""));  // the empty name is no label
+  EXPECT_TRUE(g.AddLabel(n, "W"));
+  EXPECT_TRUE(g.NodeHasLabel(n, "W"));
+  EXPECT_FALSE(g.NodeHasLabel(n, "Y"));
+  // Index and label/type statistics followed every step.
+  EXPECT_EQ(g.NodesWithLabel("Y"), std::vector<NodeId>{m});
+  EXPECT_EQ(g.NodesWithLabel("W"), std::vector<NodeId>{n});
+  EXPECT_EQ(g.LabelTypeOutCount(g.LookupLabel("W"), g.LookupType("T")), 1u);
+  EXPECT_EQ(g.LabelTypeInCount(g.LookupLabel("W"), g.LookupType("U")), 1u);
+  EXPECT_EQ(g.LabelTypeOutCount(g.LookupLabel("Z"), g.LookupType("T")), 0u);
+  EXPECT_TRUE(AdjacencyConsistent(g));
+}
+
+TEST(Layout, InlineFirstPropertyKeepsOrderAndSnapshotIsolation) {
+  PropertyGraph g;
+  NodeId n = g.CreateNode({}, {{"a", Value::Int(1)},
+                               {"b", Value::Int(2)},
+                               {"c", Value::Int(3)}});
+  NodeId m = g.CreateNode();
+  RelId r = g.CreateRelationship(n, m, "T", {{"w", Value::Int(7)},
+                                             {"x", Value::Int(8)}})
+                .value();
+  auto before = g.Snapshot();
+
+  // Overwrite the inline property in place: order unchanged.
+  EXPECT_EQ(g.SetNodeProperty(n, "a", Value::Int(10)), 1);
+  EXPECT_EQ(g.NodePropertyKeys(n), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(before->NodeProperty(n, "a").AsInt(), 1);
+  // Remove it: the next property moves inline, order of the rest kept.
+  EXPECT_EQ(g.SetNodeProperty(n, "a", Value::Null()), 1);
+  EXPECT_EQ(g.NodePropertyKeys(n), (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(g.NodeProperty(n, "b").AsInt(), 2);
+  EXPECT_TRUE(g.NodeProperty(n, "a").is_null());
+  // Re-adding appends at the end, like any new key.
+  EXPECT_EQ(g.SetNodeProperty(n, "a", Value::Int(11)), 1);
+  EXPECT_EQ(g.NodePropertyKeys(n), (std::vector<std::string>{"b", "c", "a"}));
+  // Remove a spilled one, then every one.
+  EXPECT_EQ(g.SetNodeProperty(n, "c", Value::Null()), 1);
+  EXPECT_EQ(g.NodePropertyKeys(n), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(g.SetNodeProperty(n, "b", Value::Null()), 1);
+  EXPECT_EQ(g.SetNodeProperty(n, "a", Value::Null()), 1);
+  EXPECT_TRUE(g.NodePropertyKeys(n).empty());
+  EXPECT_EQ(g.SetNodeProperty(n, "a", Value::Null()), 0);
+  EXPECT_EQ(g.SetNodeProperty(n, "", Value::Int(1)), 0);  // no empty key
+  EXPECT_TRUE(g.NodePropertyKeys(n).empty());
+  EXPECT_EQ(g.SetNodeProperty(n, "d", Value::Int(4)), 1);
+  EXPECT_EQ(g.NodeProperties(n).size(), 1u);
+  EXPECT_EQ(g.NodeProperties(n).at("d").AsInt(), 4);
+
+  // Relationship properties follow the same rules.
+  EXPECT_EQ(g.SetRelProperty(r, "w", Value::Null()), 1);
+  EXPECT_EQ(g.RelPropertyKeys(r), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(g.SetRelProperty(r, "w", Value::Int(9)), 1);
+  EXPECT_EQ(g.RelPropertyKeys(r), (std::vector<std::string>{"x", "w"}));
+  EXPECT_EQ(g.RelPropertyById(r, g.keys().Lookup("w")).AsInt(), 9);
+  EXPECT_TRUE(g.RelPropertyById(r, kNoSymbol).is_null());
+
+  // The snapshot taken before any write still reads the old records.
+  EXPECT_EQ(before->NodePropertyKeys(n),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(before->NodeProperty(n, "a").AsInt(), 1);
+  EXPECT_EQ(before->NodeProperty(n, "c").AsInt(), 3);
+  EXPECT_EQ(before->RelPropertyKeys(r), (std::vector<std::string>{"w", "x"}));
+  EXPECT_EQ(before->RelProperty(r, "w").AsInt(), 7);
+  EXPECT_TRUE(AdjacencyConsistent(g));
+}
+
+TEST(Layout, SnapshotAndCloneKeepTheirAdjacency) {
+  PropertyGraph g;
+  std::vector<NodeId> ns;
+  // More than one page of nodes and relationships.
+  for (int i = 0; i < 150; ++i) ns.push_back(g.CreateNode({"N"}));
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_TRUE(g.CreateRelationship(ns[i], ns[(i * 7) % 150], "T").ok());
+  }
+  auto snap = g.Snapshot();
+  auto snap_adj = AllAdjacency(*snap);
+  auto clone = snap->Clone();
+
+  // Churn the live graph: deletes, self-loops, new nodes past the tail.
+  ASSERT_TRUE(g.DetachDeleteNode(ns[3]).ok());
+  ASSERT_TRUE(g.CreateRelationship(ns[5], ns[5], "L").ok());
+  NodeId fresh = g.CreateNode({"N"});
+  ASSERT_TRUE(g.CreateRelationship(fresh, ns[0], "T").ok());
+  ASSERT_TRUE(AdjacencyConsistent(g));
+
+  EXPECT_TRUE(AdjacencyConsistent(*snap));
+  EXPECT_EQ(AllAdjacency(*snap), snap_adj);
+  EXPECT_TRUE(AdjacencyConsistent(*clone));
+  EXPECT_EQ(AllAdjacency(*clone), snap_adj);
+
+  // The clone mutates independently of both.
+  ASSERT_TRUE(clone->DeleteRelationship(RelId{0}).ok());
+  ASSERT_TRUE(clone->CreateRelationship(ns[1], ns[2], "U").ok());
+  EXPECT_TRUE(AdjacencyConsistent(*clone));
+  EXPECT_EQ(AllAdjacency(*snap), snap_adj);
+  EXPECT_TRUE(g.IsRelAlive(RelId{0}));  // ns[0]'s self-loop, untouched
 }
 
 TEST(GraphStatistics, Counts) {

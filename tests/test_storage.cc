@@ -17,6 +17,7 @@
 #include "src/storage/checkpoint.h"
 #include "src/storage/storage_engine.h"
 #include "src/storage/wal.h"
+#include "tests/graph_invariants.h"
 
 namespace gqlite {
 namespace {
@@ -319,6 +320,221 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection) {
   // Any flipped body byte must fail the CRC, not load garbage.
   FlipByte(path, FileSize(path) - 3);
   EXPECT_FALSE(ReadCheckpointFile(path).ok());
+}
+
+// ---- Checkpoint decode validation and record layout ------------------------
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+uint64_t GetU64(const std::string& body, size_t at) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(body[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void PutU64(std::string* body, size_t at, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*body)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Body of (n0)-[:T]->(n1:L), last_lsn 1. The byte offsets follow the
+// checkpoint layout: seven u64 header fields (56 bytes); the label, type
+// and key interners (u32 count, then u32 length + bytes per string: 9 +
+// 9 + 4 bytes); node records (u8 deleted, u32 label count + u32 ids, u32
+// property count, u32 out count + u64 rel ids, u32 in count + u64 rel
+// ids); relationship records (u8 deleted, u64 src, u64 tgt, u32 type,
+// u32 property count); then label postings (u32 count, then u32 label,
+// u32 count, u64 node ids).
+constexpr size_t kNode0OutRel = 91;
+constexpr size_t kRel0Src = 133;
+constexpr size_t kRel0Tgt = 141;
+constexpr size_t kPostingNode = 169;
+
+std::string TinyBody() {
+  PropertyGraph g;
+  NodeId n0 = g.CreateNode();
+  NodeId n1 = g.CreateNode({"L"});
+  EXPECT_TRUE(g.CreateRelationship(n0, n1, "T").ok());
+  std::string body;
+  StorageInternals::EncodeGraph(g, /*last_lsn=*/1, &body);
+  // The offsets above still name what they claim to.
+  EXPECT_EQ(GetU64(body, kNode0OutRel), 0u);
+  EXPECT_EQ(GetU64(body, kRel0Src), 0u);
+  EXPECT_EQ(GetU64(body, kRel0Tgt), 1u);
+  EXPECT_EQ(GetU64(body, kPostingNode), 1u);
+  return body;
+}
+
+// Decoding one patched u64 of the tiny body must fail with Corruption
+// naming `what`, instead of loading ids that index past the records.
+void ExpectPatchRejected(size_t at, uint64_t value, const std::string& what) {
+  std::string body = TinyBody();
+  ASSERT_TRUE(StorageInternals::DecodeGraph(body).ok());
+  PutU64(&body, at, value);
+  auto decoded = StorageInternals::DecodeGraph(body);
+  ASSERT_FALSE(decoded.ok()) << "patch at " << at << " decoded";
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+      << decoded.status().ToString();
+  EXPECT_NE(decoded.status().message().find(what), std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(Checkpoint, DecodeRejectsAdjacencyPastTheRelationshipSlots) {
+  ExpectPatchRejected(kNode0OutRel, 5, "past the slots");
+}
+
+TEST(Checkpoint, DecodeRejectsRelationshipEndpointPastTheNodeSlots) {
+  ExpectPatchRejected(kRel0Tgt, 7, "endpoint past the node slots");
+}
+
+TEST(Checkpoint, DecodeRejectsPostingPastTheNodeSlots) {
+  ExpectPatchRejected(kPostingNode, 9, "past the slots");
+}
+
+TEST(Checkpoint, DecodeRejectsAdjacencyNotIncidentToTheListingNode) {
+  // r0 now claims to start at n1, but n0 lists it as outgoing.
+  ExpectPatchRejected(kRel0Src, 1, "does not start there");
+}
+
+// A checkpoint body as written before adjacency entries carried the
+// neighbour and type: the file format is unchanged, so it must decode to
+// the same graph and re-encode to the same bytes. Graph: (a:Person:Admin
+// {born}) after removing its first property `name`, (b:Person {name}),
+// KNOWS a->b {since, w}, a->a and b->a, and a deleted node whose KNOWS
+// relationship went with it.
+const char* kGoldenBody =
+      "0700000000000000030000000000000004000000000000000200000000000000"
+      "030000000000000009000000000000000a000000000000000300000006000000"
+      "506572736f6e0500000041646d696e0400000054656d7001000000050000004b"
+      "4e4f575304000000040000006e616d6504000000626f726e0500000073696e63"
+      "6501000000770002000000010000000200000001000000020000000217070000"
+      "0000000002000000000000000000000001000000000000000200000001000000"
+      "0000000002000000000000000001000000010000000100000001000000040300"
+      "0000426f62010000000200000000000000010000000000000000000000010000"
+      "0000000000000000000000000000000000000000000000010000000000000001"
+      "00000002000000030000000229070000000000000400000003000000000000e0"
+      "3f00000000000000000000000000000000000100000000000000000100000000"
+      "0000000000000000000000010000000000000001010000000000000002000000"
+      "0000000001000000000000000300000001000000020000000000000000000000"
+      "0100000000000000020000000100000000000000000000000300000000000000"
+      "0300000001000000020000000000000002000000010000000000000003000000"
+      "0000000000000000010000000100000003000000000000000200000001000000"
+      "0100000003000000000000000100000002000000020000000000000003000000"
+      "0100000001000000030000000000000001000000020000000200000000000000"
+      "0100000003000000000000000000000001000000010000000200000000000000"
+      "0200000000000000010000000000000001000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000010000000000000001000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000200000001000000020000003c64aa21795e4433330b937e"
+      "a1839b99020000000100000089f8e22a2a8fb38e020000000300000001000000"
+      "953dbd3dc5cada420400000001000000c1fa90227c1271b1";
+
+TEST(Checkpoint, BodyFormatIsUnchanged) {
+  PropertyGraph g;
+  NodeId a = g.CreateNode({"Person", "Admin"}, {{"name", Value::String("Ada")},
+                                                {"born", Value::Int(1815)}});
+  NodeId b = g.CreateNode({"Person"}, {{"name", Value::String("Bob")}});
+  NodeId gone = g.CreateNode({"Temp"});
+  ASSERT_TRUE(g.CreateRelationship(a, b, "KNOWS",
+                                   {{"since", Value::Int(1833)},
+                                    {"w", Value::Float(0.5)}})
+                  .ok());
+  ASSERT_TRUE(g.CreateRelationship(a, a, "KNOWS").ok());
+  ASSERT_TRUE(g.CreateRelationship(b, a, "KNOWS").ok());
+  ASSERT_TRUE(g.CreateRelationship(b, gone, "KNOWS").ok());
+  ASSERT_TRUE(g.DetachDeleteNode(gone).ok());
+  g.SetNodeProperty(a, "name", Value::Null());
+
+  const std::string golden = Unhex(kGoldenBody);
+  std::string body;
+  StorageInternals::EncodeGraph(g, /*last_lsn=*/7, &body);
+  EXPECT_EQ(body, golden);
+
+  auto decoded = StorageInternals::DecodeGraph(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const PropertyGraph& r = *decoded->graph;
+  EXPECT_TRUE(AdjacencyConsistent(r));
+  EXPECT_EQ(AllAdjacency(r), AllAdjacency(g));
+  EXPECT_EQ(DumpToCypher(r), DumpToCypher(g));
+  EXPECT_EQ(r.NodePropertyKeys(a), std::vector<std::string>{"born"});
+  EXPECT_EQ(r.NodeLabels(a), (std::vector<std::string>{"Person", "Admin"}));
+  EXPECT_EQ(r.RelPropertyKeys(RelId{0}),
+            (std::vector<std::string>{"since", "w"}));
+  std::string again;
+  StorageInternals::EncodeGraph(r, /*last_lsn=*/7, &again);
+  EXPECT_EQ(again, golden);
+}
+
+TEST(Checkpoint, RoundTripAndWalReplayKeepAdjacency) {
+  std::string dir = FreshDir("ckp_adjacency");
+  const char* kSetup[] = {
+      "CREATE (:P {id: 0, name: 'a'}), (:P:Q {id: 1}), (:P {id: 2}), "
+      "(:R {id: 3, x: 1, y: 2})",
+      "MATCH (a {id: 0}), (b {id: 1}) CREATE (a)-[:T {w: 1}]->(b), "
+      "(b)-[:U]->(a), (a)-[:T]->(a)",
+      "MATCH (a {id: 1}), (b {id: 2}) CREATE (a)-[:T]->(b), (b)-[:T]->(b)",
+      "MATCH (a {id: 2}), (b {id: 3}) CREATE (b)-[:U {k: 'v'}]->(a)",
+      "MATCH (a {id: 0})-[r:U]-() DELETE r",
+      "MATCH (n {id: 2}) DETACH DELETE n",
+      "MATCH (n {id: 1}) SET n:S REMOVE n:Q SET n.id = 10",
+      "MATCH (n {id: 3}) REMOVE n.id",
+      "MATCH (a {id: 0}), (b {x: 1}) CREATE (b)-[:T]->(a)"};
+  std::vector<std::vector<uint64_t>> adjacency;
+  std::string dump;
+  {
+    Database db = MustOpen(dir);
+    for (const char* q : kSetup) {
+      auto r = db.Execute(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      ASSERT_TRUE(AdjacencyConsistent(db.graph())) << q;
+    }
+    adjacency = AllAdjacency(db.graph());
+    dump = DumpToCypher(db.graph());
+  }
+  {
+    // WAL replay rebuilds the entries through the mutators.
+    Database db = MustOpen(dir);
+    EXPECT_TRUE(AdjacencyConsistent(db.graph()));
+    EXPECT_EQ(AllAdjacency(db.graph()), adjacency);
+    EXPECT_EQ(DumpToCypher(db.graph()), dump);
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  // The checkpoint decoder derives them from the relationship records.
+  Database db = MustOpen(dir);
+  EXPECT_TRUE(AdjacencyConsistent(db.graph()));
+  EXPECT_EQ(AllAdjacency(db.graph()), adjacency);
+  EXPECT_EQ(DumpToCypher(db.graph()), dump);
+  auto r = db.Execute("MATCH (a {id: 0})-[t:T]->(b) RETURN b.id AS b, t.w AS w "
+                      "ORDER BY b");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->table.NumRows(), 2u);
+  EXPECT_EQ(r->table.rows()[0][0].AsInt(), 0);  // the self-loop
+  EXPECT_EQ(r->table.rows()[1][0].AsInt(), 10);
+  EXPECT_EQ(r->table.rows()[1][1].AsInt(), 1);
 }
 
 // ---- Database durability contract ----------------------------------------
