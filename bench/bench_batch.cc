@@ -6,9 +6,11 @@
 // regression in either mode, or a collapse of the batched advantage,
 // shows up as a >15% normalized slowdown. BM_FilteredLabelScan tracks the
 // per-row cost of bound expression evaluation in ns per scanned node at
-// 1k, 10k and 50k nodes; BM_FilteredExpand tracks the record-layout cost
-// of an Expand that reads a relationship property, in ns per expanded
-// relationship at 1k, 10k and 50k people.
+// 1k, 10k and 50k nodes; BM_PatternKeyLookup runs the same lookup written
+// as a pattern map, which the scan tests on each record before building a
+// row; BM_FilteredExpand tracks the record-layout cost of an Expand that
+// reads a relationship property, in ns per expanded relationship at 1k,
+// 10k and 50k people.
 
 #include <benchmark/benchmark.h>
 
@@ -88,20 +90,17 @@ void BM_UnwindPerTuple(benchmark::State& s) { RunQuery(s, kUnwind, 1); }
 BENCHMARK(BM_UnwindBatched);
 BENCHMARK(BM_UnwindPerTuple);
 
-/// A label scan whose every row passes through one bound filter — the
-/// per-row cost of reading a column slot, a property by interned key and
-/// a parameter. `n` :N nodes with `idx` 0..n-1; the prepared statement
-/// looks up the middle one, so the scan visits all n nodes.
-/// `ns_per_node` is wall time per scanned node.
-void BM_FilteredLabelScan(benchmark::State& state) {
+/// A lookup of the middle of `n` :N nodes with `idx` 0..n-1 by a
+/// prepared statement that scans all n nodes. `ns_per_node` is wall time
+/// per scanned node.
+void RunKeyLookup(benchmark::State& state, const char* query) {
   const int64_t n = state.range(0);
   auto g = std::make_shared<PropertyGraph>();
   for (int64_t i = 0; i < n; ++i) {
     g->CreateNode({"N"}, {{"idx", Value::Int(i)}});
   }
   Database db = bench::MakeDatabase(g);
-  Result<PreparedQuery> stmt =
-      db.Prepare("MATCH (n:N) WHERE n.idx = $i RETURN n.idx");
+  Result<PreparedQuery> stmt = db.Prepare(query);
   if (!stmt.ok()) {
     state.SkipWithError(stmt.status().ToString().c_str());
     return;
@@ -111,7 +110,7 @@ void BM_FilteredLabelScan(benchmark::State& state) {
   for (auto _ : state) {
     Result<QueryResult> r = db.Execute(*stmt, params);
     if (!r.ok() || r->table.NumRows() != 1) {
-      state.SkipWithError("filtered label scan lost its row");
+      state.SkipWithError("key lookup lost its row");
       return;
     }
     benchmark::DoNotOptimize(r->table);
@@ -122,7 +121,21 @@ void BM_FilteredLabelScan(benchmark::State& state) {
       elapsed.count() /
       (static_cast<double>(state.iterations()) * static_cast<double>(n));
 }
+
+/// The WHERE form: every scanned node becomes a row that passes through
+/// one bound filter — the per-row cost of reading a column slot, a
+/// property by interned key and a parameter.
+void BM_FilteredLabelScan(benchmark::State& state) {
+  RunKeyLookup(state, "MATCH (n:N) WHERE n.idx = $i RETURN n.idx");
+}
 BENCHMARK(BM_FilteredLabelScan)->Arg(1000)->Arg(10000)->Arg(50000);
+
+/// The pattern form: the scan tests the map on each node's record and
+/// builds a row only for the match.
+void BM_PatternKeyLookup(benchmark::State& state) {
+  RunKeyLookup(state, "MATCH (n:N {idx: $i}) RETURN n.idx");
+}
+BENCHMARK(BM_PatternKeyLookup)->Arg(1000)->Arg(10000)->Arg(50000);
 
 /// The analytics workload's filtered Expand at 1 worker: a Person label
 /// scan, a walk of each person's outgoing adjacency with a FRIEND type

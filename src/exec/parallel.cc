@@ -463,7 +463,8 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     if (plan->root.get() == merge_proj) return merged;
     merge_proj->PreloadResult(std::move(merged));
     GQL_RETURN_IF_ERROR(plan->root->Open());
-    return DrainPlan(plan->root.get(), batch_size, stats);
+    RowBatch batch(batch_size);
+    return DrainPlan(plan->root.get(), &batch, stats);
   };
 
   if (num_morsels == 0) {
@@ -530,6 +531,10 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     Operator* root = wproj->child();
     PartitionedScan* scan = par.scans[w];
     const EvalContext& eval = wproj->exec_context()->eval;
+    // One morsel buffer per worker, refilled range after range: its row
+    // slots keep their allocations, so a range costs no per-row mallocs
+    // beyond the rows it keeps.
+    RowBatch batch(batch_size);
     ScanMorsel morsel;
     while (dispatcher.Next(&morsel)) {
       scan->SetScanRange(morsel.begin, morsel.end);
@@ -549,7 +554,6 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           } else {
             st = std::make_unique<AggregationState>(proto->Fork());
           }
-          RowBatch batch(batch_size);
           uint64_t row_in_range = 0;
           while (true) {
             GQL_ASSIGN_OR_RETURN(bool ok, root->NextBatch(&batch));
@@ -575,7 +579,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           return Status::OK();
         }
         GQL_ASSIGN_OR_RETURN(Table t,
-                             DrainPlan(root, batch_size, &worker_stats[w]));
+                             DrainPlan(root, &batch, &worker_stats[w]));
         if (sort_only) {
           // Project and key in one pass, then the bounded local sort —
           // this range's contribution to the parallel merge sort.

@@ -55,14 +55,13 @@ void ResolveTypeIds(const PropertyGraph& g, ExpandSpec* spec) {
 
 }  // namespace
 
-// ---- LazyPropWants ----------------------------------------------------------
+// ---- BoundPropMap / LazyPropWants / ScanPredicate ---------------------------
 
-BoundRelProps BoundRelProps::Bind(const ExpandSpec& spec,
-                                  const std::vector<std::string>& input_schema,
-                                  BindTable* table) {
-  BoundRelProps out;
-  if (spec.rel_props == nullptr) return out;
-  for (const auto& [key, expr] : *spec.rel_props) {
+BoundPropMap BoundPropMap::Bind(std::span<const PropertyEntry> props,
+                                const std::vector<std::string>& input_schema,
+                                BindTable* table) {
+  BoundPropMap out;
+  for (const auto& [key, expr] : props) {
     out.keys.push_back(table->KeyIndex(key));
     out.values.push_back(
         BoundExpr::Bind(*expr, BindScope{&input_schema}, table));
@@ -70,24 +69,35 @@ BoundRelProps BoundRelProps::Bind(const ExpandSpec& spec,
   return out;
 }
 
-Result<bool> LazyPropWants::Ok(const ExecContext& ctx,
-                               const BoundRelProps& props,
-                               const ValueList& row, RelId r) {
-  for (size_t i = 0; i < props.keys.size(); ++i) {
-    if (i >= wants_.size()) {
-      // Key i's constraint value is evaluated at the first candidate
-      // that survives keys 0..i-1 — exactly when the per-candidate
-      // reference check would evaluate it, so an erroring expression
-      // behind a mismatching earlier key stays unevaluated.
-      GQL_ASSIGN_OR_RETURN(Value want,
-                           props.values[i].Eval(BoundRow{&row}, ctx.eval));
-      wants_.push_back(std::move(want));
-    }
-    const Value& have =
-        ctx.graph->RelPropertyById(r, ctx.binds.key(props.keys[i]));
-    if (ValueEquals(have, wants_[i]) != Tri::kTrue) return false;
+Status LazyPropWants::EvalNext(const ExecContext& ctx,
+                               const BoundPropMap& props,
+                               const ValueList& row) {
+  GQL_ASSIGN_OR_RETURN(
+      Value want, props.values[wants_.size()].Eval(BoundRow{&row}, ctx.eval));
+  wants_.push_back(std::move(want));
+  return Status::OK();
+}
+
+ScanPredicate::ScanPredicate(const NodeScanFilter& filter,
+                             const std::vector<std::string>& input_schema,
+                             BindTable* table)
+    : filter_(filter),
+      props_(BoundPropMap::Bind(filter.props, input_schema, table)) {
+  for (const auto& l : filter.labels) {
+    label_refs_.push_back(table->LabelIndex(l));
   }
-  return true;
+}
+
+std::string ScanPredicate::Describe() const {
+  std::string out;
+  for (const auto& l : filter_.labels) out += (out.empty() ? " :" : ":") + l;
+  if (filter_.props.empty()) return out;
+  out += " {";
+  for (size_t i = 0; i < filter_.props.size(); ++i) {
+    if (i) out += ", ";
+    out += filter_.props[i].first;
+  }
+  return out + "}";
 }
 
 // ---- BatchCursor ------------------------------------------------------------
@@ -122,9 +132,12 @@ Result<bool> ArgumentOp::NextBatchImpl(RowBatch* out) {
 
 // ---- AllNodesScanOp ---------------------------------------------------------
 
-AllNodesScanOp::AllNodesScanOp(OperatorPtr child, const ExecContext* ctx,
-                               std::string var)
-    : Operator(nullptr, {}), ctx_(ctx), var_(var) {
+AllNodesScanOp::AllNodesScanOp(OperatorPtr child, ExecContext* ctx,
+                               std::string var, const NodeScanFilter& filter)
+    : Operator(nullptr, {}),
+      ctx_(ctx),
+      var_(var),
+      pred_(filter, child->schema(), &ctx->binds) {
   child_ = std::move(child);
   schema_ = Extend(child_->schema(), {var});
 }
@@ -135,7 +148,9 @@ size_t AllNodesScanOp::ScanDomainSize() const {
 
 Status AllNodesScanOp::Open() {
   input_.Reset();
+  pred_.Reset();
   node_pos_ = range_begin_;
+  ctx_->EnsureBindings();
   return child_->Open();
 }
 
@@ -149,10 +164,15 @@ Result<bool> AllNodesScanOp::NextBatchImpl(RowBatch* out) {
     while (node_pos_ < end && !out->full()) {
       NodeId n{node_pos_++};
       if (!g.IsNodeAlive(n)) continue;
+      if (!pred_.empty()) {
+        GQL_ASSIGN_OR_RETURN(bool keep, pred_.Ok(*ctx_, *in, n));
+        if (!keep) continue;
+      }
       out->AppendFrom(*in).push_back(Value::Node(n));
     }
     if (node_pos_ >= end) {
       input_.Advance();
+      pred_.Reset();
       node_pos_ = range_begin_;
     }
   }
@@ -161,9 +181,14 @@ Result<bool> AllNodesScanOp::NextBatchImpl(RowBatch* out) {
 
 // ---- NodeByLabelScanOp ------------------------------------------------------
 
-NodeByLabelScanOp::NodeByLabelScanOp(OperatorPtr child, const ExecContext* ctx,
-                                     std::string var, std::string label)
-    : Operator(nullptr, {}), ctx_(ctx), var_(var), label_(label) {
+NodeByLabelScanOp::NodeByLabelScanOp(OperatorPtr child, ExecContext* ctx,
+                                     std::string var, std::string label,
+                                     const NodeScanFilter& filter)
+    : Operator(nullptr, {}),
+      ctx_(ctx),
+      var_(var),
+      label_(label),
+      pred_(filter, child->schema(), &ctx->binds) {
   child_ = std::move(child);
   schema_ = Extend(child_->schema(), {var});
 }
@@ -174,7 +199,9 @@ size_t NodeByLabelScanOp::ScanDomainSize() const {
 
 Status NodeByLabelScanOp::Open() {
   input_.Reset();
+  pred_.Reset();
   idx_pos_ = range_begin_;
+  ctx_->EnsureBindings();
   return child_->Open();
 }
 
@@ -186,10 +213,16 @@ Result<bool> NodeByLabelScanOp::NextBatchImpl(RowBatch* out) {
                          input_.Current(child_.get(), out->capacity()));
     if (in == nullptr) break;
     while (idx_pos_ < end && !out->full()) {
-      out->AppendFrom(*in).push_back(Value::Node(idx[idx_pos_++]));
+      NodeId n = idx[idx_pos_++];
+      if (!pred_.empty()) {
+        GQL_ASSIGN_OR_RETURN(bool keep, pred_.Ok(*ctx_, *in, n));
+        if (!keep) continue;
+      }
+      out->AppendFrom(*in).push_back(Value::Node(n));
     }
     if (idx_pos_ >= end) {
       input_.Advance();
+      pred_.Reset();
       idx_pos_ = range_begin_;
     }
   }
@@ -204,7 +237,8 @@ ExpandOp::ExpandOp(OperatorPtr child, ExecContext* ctx, ExpandSpec spec)
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
-  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
+  bound_props_ =
+      BoundPropMap::Bind(spec_.rel_props, child_->schema(), &ctx_->binds);
 }
 
 Status ExpandOp::Open() {
@@ -308,7 +342,8 @@ HashJoinExpandOp::HashJoinExpandOp(OperatorPtr child, ExecContext* ctx,
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
-  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
+  bound_props_ =
+      BoundPropMap::Bind(spec_.rel_props, child_->schema(), &ctx_->binds);
 }
 
 Status HashJoinExpandOp::Open() {
@@ -404,7 +439,8 @@ VarLengthExpandOp::VarLengthExpandOp(OperatorPtr child, ExecContext* ctx,
   schema_ = child_->schema();
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
-  bound_props_ = BoundRelProps::Bind(spec_, child_->schema(), &ctx_->binds);
+  bound_props_ =
+      BoundPropMap::Bind(spec_.rel_props, child_->schema(), &ctx_->binds);
 }
 
 Status VarLengthExpandOp::Open() {
@@ -742,12 +778,12 @@ Status ProjectionOp::Open() {
   }
   ctx_->EnsureBindings();
   GQL_RETURN_IF_ERROR(child_->Open());
+  RowBatch batch(ctx_->batch_size);
   if (proj_.aggregates()) {
     // Aggregating projection: stream the child's morsels straight into
     // the aggregation state — the pre-aggregation table (often the whole
     // join) never materializes.
     AggregationState state = proj_.NewAggregation();
-    RowBatch batch(ctx_->batch_size);
     while (true) {
       GQL_ASSIGN_OR_RETURN(bool ok, child_->NextBatch(&batch));
       if (!ok) break;
@@ -761,8 +797,7 @@ Status ProjectionOp::Open() {
     GQL_ASSIGN_OR_RETURN(result_,
                          proj_.FilterWhere(std::move(grouped), ctx_->eval));
   } else {
-    GQL_ASSIGN_OR_RETURN(Table input,
-                         DrainPlan(child_.get(), ctx_->batch_size));
+    GQL_ASSIGN_OR_RETURN(Table input, DrainPlan(child_.get(), &batch));
     GQL_ASSIGN_OR_RETURN(result_, ProjectTable(input));
   }
   pos_ = 0;
@@ -802,7 +837,8 @@ Status UnionOp::Open() {
   materialized_ = Table(schema_);
   for (auto& p : parts_) {
     GQL_RETURN_IF_ERROR(p->Open());
-    GQL_ASSIGN_OR_RETURN(Table t, DrainPlan(p.get(), batch_size_));
+    RowBatch batch(batch_size_);
+    GQL_ASSIGN_OR_RETURN(Table t, DrainPlan(p.get(), &batch));
     for (auto& r : t.mutable_rows()) {
       materialized_.AddRow(std::move(r));  // NextBatch moves them out again
     }
@@ -886,18 +922,16 @@ void Operator::AbsorbCounters(const Operator& other) {
   }
 }
 
-Result<Table> DrainPlan(Operator* root, size_t batch_size,
-                        BatchStats* stats) {
+Result<Table> DrainPlan(Operator* root, RowBatch* batch, BatchStats* stats) {
   Table out(root->schema());
-  RowBatch batch(batch_size);
   while (true) {
-    GQL_ASSIGN_OR_RETURN(bool ok, root->NextBatch(&batch));
+    GQL_ASSIGN_OR_RETURN(bool ok, root->NextBatch(batch));
     if (!ok) break;
     if (stats != nullptr) {
       ++stats->batches;
-      stats->rows += static_cast<int64_t>(batch.size());
+      stats->rows += static_cast<int64_t>(batch->size());
     }
-    out.AddBatch(&batch);
+    out.AddBatch(batch);
   }
   return out;
 }

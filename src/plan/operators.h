@@ -2,6 +2,7 @@
 #define GQLITE_PLAN_OPERATORS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/interp/row_batch.h"
 #include "src/interp/table.h"
 #include "src/pattern/matcher.h"
+#include "src/value/value_compare.h"
 
 namespace gqlite {
 
@@ -205,13 +207,132 @@ class ArgumentOp : public Operator {
   bool done_single_ = false;
 };
 
+/// One entry of a pattern element's property map `{k: v, ...}`.
+using PropertyEntry = std::pair<std::string, ast::ExprPtr>;
+
+/// A property map bound to the input schema of the operator that checks
+/// it: per entry, the key's BindTable index and the value expression
+/// over the driving row. The scans (node maps) and the expand family
+/// (relationship maps) share it.
+struct BoundPropMap {
+  std::vector<int> keys;
+  std::vector<BoundExpr> values;
+
+  static BoundPropMap Bind(std::span<const PropertyEntry> props,
+                           const std::vector<std::string>& input_schema,
+                           BindTable* table);
+  bool empty() const { return keys.empty(); }
+};
+
+/// Lazily-hoisted property-map values for one driving row: a pattern's
+/// property expressions reference outer bindings (the driving row),
+/// never the candidate node or relationship, so each key's value is
+/// evaluated at the FIRST candidate that reaches that key (i.e. survives
+/// the earlier keys) and reused for the row's remaining candidates. Lazy
+/// per key, not eager: the reference check evaluates a key's expression
+/// only when some candidate gets that far, so a row with no candidates —
+/// or whose candidates all fail an earlier key — must not evaluate (and
+/// possibly error on) the later expressions. Call Reset() whenever the
+/// driving row changes.
+///
+/// Deliberate tradeoff: a non-deterministic constraint expression (e.g.
+/// `{w: rand()}`) samples once per driving row here, while the
+/// reference matcher samples per candidate. Cypher leaves the
+/// evaluation count of such expressions unspecified; the hoist trades
+/// that freedom for not re-evaluating per candidate.
+class LazyPropWants {
+ public:
+  void Reset() { wants_.clear(); }
+  /// True if candidate relationship `r` / node `n` satisfies `props` for
+  /// `row`; evaluates constraint values on first use per row and key.
+  /// Inline: once a row's values are evaluated, the check is a pure read
+  /// of the candidate's record.
+  Result<bool> Ok(const ExecContext& ctx, const BoundPropMap& props,
+                  const ValueList& row, RelId r) {
+    return Check(ctx, props, row, [&](SymbolId key) -> const Value& {
+      return ctx.graph->RelPropertyById(r, key);
+    });
+  }
+  Result<bool> Ok(const ExecContext& ctx, const BoundPropMap& props,
+                  const ValueList& row, NodeId n) {
+    return Check(ctx, props, row, [&](SymbolId key) -> const Value& {
+      return ctx.graph->NodePropertyById(n, key);
+    });
+  }
+
+ private:
+  template <typename ReadProp>
+  Result<bool> Check(const ExecContext& ctx, const BoundPropMap& props,
+                     const ValueList& row, ReadProp read) {
+    for (size_t i = 0; i < props.keys.size(); ++i) {
+      // Key i's constraint value is evaluated at the first candidate
+      // that survives keys 0..i-1 — exactly when the per-candidate
+      // reference check would evaluate it, so an erroring expression
+      // behind a mismatching earlier key stays unevaluated.
+      if (i >= wants_.size()) GQL_RETURN_IF_ERROR(EvalNext(ctx, props, row));
+      if (ValueEquals(read(ctx.binds.key(props.keys[i])), wants_[i]) !=
+          Tri::kTrue) {
+        return false;
+      }
+    }
+    return true;
+  }
+  /// Evaluates the next key's value (out of line: once per row and key).
+  Status EvalNext(const ExecContext& ctx, const BoundPropMap& props,
+                  const ValueList& row);
+
+  std::vector<Value> wants_;  // values for keys 0..wants_.size()-1
+};
+
+/// The scanned node's own pattern constraints, handed to a scan by the
+/// planner: the pattern's labels other than the scanned one, then (a
+/// prefix of) its property map in pattern order. The property entries
+/// point into the query AST.
+struct NodeScanFilter {
+  std::vector<std::string> labels;
+  std::span<const PropertyEntry> props;
+};
+
+/// A NodeScanFilter bound to a scan's input schema. A scan tests each
+/// candidate's record against it before building a row — labels first,
+/// then the map in pattern order, the interpreter's CheckAndBindNode
+/// order — so only survivors are appended (and counted by PROFILE).
+class ScanPredicate {
+ public:
+  ScanPredicate(const NodeScanFilter& filter,
+                const std::vector<std::string>& input_schema, BindTable* table);
+  bool empty() const { return label_refs_.empty() && props_.empty(); }
+  /// A new driving row: its wanted values are evaluated afresh.
+  void Reset() { wants_.Reset(); }
+  /// Whether candidate `n` passes for driving row `row`. The scans skip
+  /// the call when empty(): it costs more than the no-op check.
+  Result<bool> Ok(const ExecContext& ctx, const ValueList& row, NodeId n) {
+    const PropertyGraph& g = *ctx.graph;
+    for (int l : label_refs_) {
+      if (!g.NodeHasLabelId(n, ctx.binds.label(l))) return false;
+    }
+    return wants_.Ok(ctx, props_, row, n);
+  }
+  /// EXPLAIN suffix: ` :Label {key, ...}`, empty when nothing is pushed.
+  std::string Describe() const;
+
+ private:
+  NodeScanFilter filter_;  // as planned, for EXPLAIN
+  std::vector<int> label_refs_;
+  BoundPropMap props_;
+  LazyPropWants wants_;
+};
+
 /// Scans all live nodes, binding `var`. Domain = node slot space.
 class AllNodesScanOp : public Operator, public PartitionedScan {
  public:
-  AllNodesScanOp(OperatorPtr child, const ExecContext* ctx, std::string var);
+  AllNodesScanOp(OperatorPtr child, ExecContext* ctx, std::string var,
+                 const NodeScanFilter& filter = {});
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
-  std::string Describe() const override { return "AllNodesScan(" + var_ + ")"; }
+  std::string Describe() const override {
+    return "AllNodesScan(" + var_ + ")" + pred_.Describe();
+  }
   size_t ScanDomainSize() const override;
   void SetScanRange(size_t begin, size_t end) override {
     range_begin_ = begin;
@@ -219,8 +340,9 @@ class AllNodesScanOp : public Operator, public PartitionedScan {
   }
 
  private:
-  const ExecContext* ctx_;
+  ExecContext* ctx_;
   std::string var_;
+  ScanPredicate pred_;
   BatchCursor input_;
   size_t node_pos_ = 0;
   size_t range_begin_ = 0;
@@ -231,12 +353,13 @@ class AllNodesScanOp : public Operator, public PartitionedScan {
 /// path when the pattern constrains the label). Domain = index entries.
 class NodeByLabelScanOp : public Operator, public PartitionedScan {
  public:
-  NodeByLabelScanOp(OperatorPtr child, const ExecContext* ctx,
-                    std::string var, std::string label);
+  NodeByLabelScanOp(OperatorPtr child, ExecContext* ctx, std::string var,
+                    std::string label, const NodeScanFilter& filter = {});
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   std::string Describe() const override {
-    return "NodeByLabelScan(" + var_ + ":" + label_ + ")";
+    return "NodeByLabelScan(" + var_ + ":" + label_ + ")" +
+           pred_.Describe();
   }
   size_t ScanDomainSize() const override;
   void SetScanRange(size_t begin, size_t end) override {
@@ -245,9 +368,10 @@ class NodeByLabelScanOp : public Operator, public PartitionedScan {
   }
 
  private:
-  const ExecContext* ctx_;
+  ExecContext* ctx_;
   std::string var_;
   std::string label_;
+  ScanPredicate pred_;
   BatchCursor input_;
   size_t idx_pos_ = 0;
   size_t range_begin_ = 0;
@@ -275,49 +399,8 @@ struct ExpandSpec {
   /// Property constraints of the relationship pattern, evaluated against
   /// the driving row (fused into the expand; a candidate relationship must
   /// carry equal values). Not owned; each expand operator binds them to
-  /// its input schema when it is built (BoundRelProps).
-  const std::vector<std::pair<std::string, ast::ExprPtr>>* rel_props = nullptr;
-};
-
-/// An expand's relationship-property constraints, bound to its input
-/// schema: per constraint, the key's BindTable index and the value
-/// expression over the driving row.
-struct BoundRelProps {
-  std::vector<int> keys;
-  std::vector<BoundExpr> values;
-
-  static BoundRelProps Bind(const ExpandSpec& spec,
-                            const std::vector<std::string>& input_schema,
-                            BindTable* table);
-  bool empty() const { return keys.empty(); }
-};
-
-/// Lazily-hoisted relationship-property constraint values for one
-/// driving row: the pattern's property expressions reference outer
-/// bindings (the driving row), never the candidate relationship, so each
-/// key's value is evaluated at the FIRST candidate that reaches that key
-/// (i.e. survives the earlier keys) and reused for the row's remaining
-/// candidates. Lazy per key, not eager: the reference check evaluates a
-/// key's expression only when some candidate gets that far, so a row
-/// with no candidates — or whose candidates all fail an earlier key —
-/// must not evaluate (and possibly error on) the later expressions.
-/// Call Reset() whenever the driving row changes.
-///
-/// Deliberate tradeoff: a non-deterministic constraint expression (e.g.
-/// `{w: rand()}`) samples once per driving row here, while the
-/// reference matcher samples per candidate. Cypher leaves the
-/// evaluation count of such expressions unspecified; the hoist trades
-/// that freedom for not re-evaluating per candidate.
-class LazyPropWants {
- public:
-  void Reset() { wants_.clear(); }
-  /// True if candidate `r` satisfies `props` for `row`; evaluates
-  /// constraint values on first use per row and key.
-  Result<bool> Ok(const ExecContext& ctx, const BoundRelProps& props,
-                  const ValueList& row, RelId r);
-
- private:
-  std::vector<Value> wants_;  // values for keys 0..wants_.size()-1
+  /// its input schema when it is built (BoundPropMap).
+  std::span<const PropertyEntry> rel_props;
 };
 
 /// Adjacency-based expand: direct node→edge→node references. Batched:
@@ -334,7 +417,7 @@ class ExpandOp : public Operator {
   Result<bool> RelMatches(const AdjEntry& e, const ValueList& row);
   ExecContext* ctx_;
   ExpandSpec spec_;
-  BoundRelProps bound_props_;
+  BoundPropMap bound_props_;
   BatchCursor input_;
   size_t adj_pos_ = 0;  // position in the (conceptual) adjacency sequence
   LazyPropWants props_;
@@ -354,7 +437,7 @@ class HashJoinExpandOp : public Operator {
  private:
   ExecContext* ctx_;
   ExpandSpec spec_;
-  BoundRelProps bound_props_;
+  BoundPropMap bound_props_;
   using Index = std::unordered_multimap<uint64_t, AdjEntry>;
   Index index_;  // node id → the entry seen from that node
   BatchCursor input_;
@@ -393,7 +476,7 @@ class VarLengthExpandOp : public Operator {
 
   ExecContext* ctx_;
   ExpandSpec spec_;
-  BoundRelProps bound_props_;
+  BoundPropMap bound_props_;
   int64_t min_;
   int64_t max_;
 
@@ -595,10 +678,13 @@ class MatcherOp : public Operator {
   size_t pos_ = 0;
 };
 
-/// Drains a plan into a table, morsel by morsel. `stats` (optional)
-/// accumulates the rows/batches the root produced.
-Result<Table> DrainPlan(Operator* root,
-                        size_t batch_size = RowBatch::kDefaultCapacity,
+/// Drains a plan into a table, morsel by morsel, through the caller's
+/// `batch` (its capacity sizes the morsels). A caller that drains many
+/// plans — a parallel worker, range after range — passes the same batch
+/// each time, so refills reuse its row slots instead of allocating them
+/// per drain. `stats` (optional) accumulates the rows/batches the root
+/// produced.
+Result<Table> DrainPlan(Operator* root, RowBatch* batch,
                         BatchStats* stats = nullptr);
 
 /// Renders an EXPLAIN tree.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "src/exec/parallel.h"
 #include "src/frontend/analyzer.h"
@@ -310,6 +311,28 @@ Result<OperatorPtr> Planner::PlanMatch(const MatchClause& m,
 
 namespace {
 
+/// Selectivity of a node having all of `labels`: the product of the
+/// label fractions (label independence).
+double LabelSelectivity(const std::vector<std::string>& labels,
+                        const GraphStatistics& stats) {
+  double n = std::max<double>(stats.NodeCount(), 1.0);
+  double sel = 1.0;
+  for (const auto& l : labels) {
+    sel *= std::min(static_cast<double>(stats.NodesWithLabel(l)) / n, 1.0);
+  }
+  return sel;
+}
+
+/// Selectivity of `x.key = value`: 1/NDV from the snapshot's sketches
+/// when `value` is variable-free (a literal or parameter), else a fixed
+/// 0.25.
+double EqualitySelectivity(const std::string& key, const Expr& value,
+                           bool rel, const GraphStatistics& stats) {
+  if (!ExprVariables(value).empty()) return 0.25;
+  double ndv = rel ? stats.RelPropertyNdv(key) : stats.NodePropertyNdv(key);
+  return ndv >= 1.0 ? 1.0 / ndv : 0.1;
+}
+
 /// Estimated selectivity of one placed filter for the EXPLAIN `est.
 /// rows` annotations — the same per-constraint factors the cost model
 /// uses: label checks multiply label fractions, property equalities
@@ -317,14 +340,9 @@ namespace {
 /// sketches, anything else a fixed 0.25.
 double FilterSelectivity(const Expr& e, const GraphStatistics& stats,
                          const std::set<std::string>& rel_vars) {
-  double n = std::max<double>(stats.NodeCount(), 1.0);
   if (e.kind == Expr::Kind::kLabelCheck) {
-    const auto& lc = static_cast<const LabelCheckExpr&>(e);
-    double sel = 1.0;
-    for (const auto& l : lc.labels) {
-      sel *= std::min(static_cast<double>(stats.NodesWithLabel(l)) / n, 1.0);
-    }
-    return sel;
+    return LabelSelectivity(static_cast<const LabelCheckExpr&>(e).labels,
+                            stats);
   }
   if (e.kind == Expr::Kind::kBinary) {
     const auto& b = static_cast<const BinaryExpr&>(e);
@@ -342,10 +360,8 @@ double FilterSelectivity(const Expr& e, const GraphStatistics& stats,
         const auto& pe = static_cast<const PropertyExpr&>(*prop);
         if (pe.object->kind == Expr::Kind::kVariable) {
           const auto& var = static_cast<const VariableExpr&>(*pe.object);
-          double ndv = rel_vars.contains(var.name)
-                           ? stats.RelPropertyNdv(pe.key)
-                           : stats.NodePropertyNdv(pe.key);
-          return ndv >= 1.0 ? 1.0 / ndv : 0.1;
+          return EqualitySelectivity(pe.key, *other,
+                                     rel_vars.contains(var.name), stats);
         }
       }
     }
@@ -484,21 +500,15 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
   size_t anchor = decision.anchor;
 
   // Constraint helpers: synthesized filters are owned by the plan.
-  auto add_node_constraints = [&](size_t i, bool skip_label_index_label,
-                                  const std::string& scanned_label) {
-    const NodePattern& np = node_at(i);
-    std::vector<std::string> labels = np.labels;
-    if (skip_label_index_label) {
-      labels.erase(std::remove(labels.begin(), labels.end(), scanned_label),
-                   labels.end());
-    }
+  auto add_filters = [&](size_t i, const std::vector<std::string>& labels,
+                         std::span<const PropertyEntry> props) {
     if (!labels.empty()) {
       auto check = std::make_unique<LabelCheckExpr>(
           std::make_unique<VariableExpr>(node_cols[i]), labels);
       state->pending_filters.push_back(check.get());
       plan->synthesized.push_back(std::move(check));
     }
-    for (const auto& [key, expr] : np.properties) {
+    for (const auto& [key, expr] : props) {
       auto eq = std::make_unique<BinaryExpr>(
           BinaryOp::kEq,
           std::make_unique<PropertyExpr>(
@@ -508,10 +518,15 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
       plan->synthesized.push_back(std::move(eq));
     }
   };
+  auto add_node_constraints = [&](size_t i) {
+    add_filters(i, node_at(i).labels, node_at(i).properties);
+  };
 
   // Emit the anchor. The label index scan picks the cheapest label among
   // the pattern's AND the WHERE-augmented ones (label pushdown into the
-  // scan); any remaining checks stay as filters.
+  // scan). The scan itself checks the anchor's other pattern labels and
+  // its property map on each candidate's record; WHERE conjuncts stay
+  // filters.
   double cur_est;
   if (!node_bound[anchor]) {
     std::string scanned_label;
@@ -523,21 +538,52 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
         scanned_label = l;
       }
     }
+    const NodePattern& np = node_at(anchor);
+    NodeScanFilter filter;
+    for (const auto& l : np.labels) {
+      if (l != scanned_label) filter.labels.push_back(l);
+    }
+    // The reference matcher checks this node after binding the nodes and
+    // relationships before it in the path, so a map entry may read them;
+    // the scan runs before they are bound. The map moves into the scan up
+    // to the first such entry, which stays a filter with the rest of the
+    // map, placed once its variables are bound.
+    std::set<std::string> earlier;
+    for (size_t i = 0; i < anchor; ++i) {
+      if (node_at(i).var) earlier.insert(*node_at(i).var);
+      if (path.hops[i].rel.var) earlier.insert(*path.hops[i].rel.var);
+    }
+    auto reads_earlier = [&](const PropertyEntry& entry) {
+      for (const std::string& v : ExprVariables(*entry.second)) {
+        if (earlier.contains(v) && !state->Bound(v)) return true;
+      }
+      return false;
+    };
+    std::span<const PropertyEntry> props = np.properties;
+    size_t pushed = 0;
+    while (pushed < props.size() && !reads_earlier(props[pushed])) ++pushed;
+    filter.props = props.first(pushed);
+    cur_est = std::max(
+        scan_rows * LabelSelectivity(filter.labels, stats), 0.001);
+    for (const auto& [key, expr] : filter.props) {
+      cur_est = std::max(
+          cur_est * EqualitySelectivity(key, *expr, /*rel=*/false, stats),
+          0.001);
+    }
     if (!scanned_label.empty()) {
       state->tip = std::make_unique<NodeByLabelScanOp>(
-          std::move(state->tip), ctx, node_cols[anchor], scanned_label);
+          std::move(state->tip), ctx, node_cols[anchor], scanned_label, filter);
     } else {
-      state->tip = std::make_unique<AllNodesScanOp>(std::move(state->tip),
-                                                    ctx, node_cols[anchor]);
+      state->tip = std::make_unique<AllNodesScanOp>(
+          std::move(state->tip), ctx, node_cols[anchor], filter);
     }
-    state->tip->set_est_rows(scan_rows);
-    cur_est = std::max(scan_rows, 0.001);
+    state->tip->set_est_rows(cur_est);
     node_bound[anchor] = true;
-    add_node_constraints(anchor, !scanned_label.empty(), scanned_label);
+    add_filters(anchor, {}, props.subspan(pushed));
   } else {
     // Bound from the driving table: re-check this occurrence's
     // constraints.
-    add_node_constraints(anchor, false, "");
+    add_node_constraints(anchor);
     cur_est = 1.0;
   }
   PlaceReadyFilters(state, ctx, &stats, &rel_vars, &cur_est);
@@ -565,7 +611,7 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
       }
     }
     spec.uniqueness_cols = state->clause_rel_cols;
-    spec.rel_props = rp.properties.empty() ? nullptr : &rp.properties;
+    spec.rel_props = rp.properties;
 
     bool rel_bound = state->Bound(rel_cols[hop_idx]);
     if (rel_bound && !rp.length) {
@@ -621,11 +667,11 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
 
     if (!target_bound) {
       node_bound[to_i] = true;
-      add_node_constraints(to_i, false, "");
+      add_node_constraints(to_i);
     } else if (!node_bound[to_i]) {
       // Bound from the driving table (ExpandInto): re-check constraints.
       node_bound[to_i] = true;
-      add_node_constraints(to_i, false, "");
+      add_node_constraints(to_i);
     }
     return Status::OK();
   };

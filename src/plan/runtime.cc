@@ -80,7 +80,8 @@ void ResolvePlanBindings(Plan* plan) {
 Result<Table> ExecutePlan(Plan* plan, size_t batch_size, BatchStats* stats) {
   ResolvePlanBindings(plan);
   GQL_RETURN_IF_ERROR(plan->root->Open());
-  return DrainPlan(plan->root.get(), batch_size, stats);
+  RowBatch batch(batch_size);
+  return DrainPlan(plan->root.get(), &batch, stats);
 }
 
 Result<Table> RunPlanned(CatalogRef catalog, GraphPtr graph,

@@ -150,19 +150,15 @@ GeneratedQuery GenerateChainQuery(Rng& rng) {
   return out;
 }
 
-TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
-  auto eff_threads = EffectiveNumThreads(4);
-  ASSERT_TRUE(eff_threads.ok()) << eff_threads.status().ToString();
+struct Runtime {
+  std::string name;
+  CypherEngine engine;
+};
 
-  GraphPtr graph = MakeChainGraph(0xF0ECEDCA5E5ULL);
-
-  EngineOptions interp_opts;
-  interp_opts.mode = ExecutionMode::kInterpreter;
-  CypherEngine oracle(interp_opts);
-  oracle.set_default_graph(graph);
-
-  // Every forced (expand strategy, direction) corner plus the cost-based
-  // default, each across the five executor legs.
+/// Every forced (expand strategy, direction) corner plus the cost-based
+/// default, each across the five executor legs (morsel 1 and 1024,
+/// 1, 2 and 4 workers), all over `graph`.
+std::vector<Runtime> AllRuntimes(const GraphPtr& graph) {
   struct Config {
     const char* name;
     ExpandStrategy strategy;
@@ -185,11 +181,6 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
   };
   const std::vector<Leg> legs = {{1, 1}, {1024, 1}, {1024, 1}, {1024, 2},
                                  {1024, 4}};
-
-  struct Runtime {
-    std::string name;
-    CypherEngine engine;
-  };
   std::vector<Runtime> runtimes;
   for (const Config& c : configs) {
     for (const Leg& l : legs) {
@@ -205,6 +196,24 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
       runtimes.back().engine.set_default_graph(graph);
     }
   }
+  return runtimes;
+}
+
+CypherEngine Oracle(const GraphPtr& graph) {
+  EngineOptions interp_opts;
+  interp_opts.mode = ExecutionMode::kInterpreter;
+  CypherEngine oracle(interp_opts);
+  oracle.set_default_graph(graph);
+  return oracle;
+}
+
+TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
+  auto eff_threads = EffectiveNumThreads(4);
+  ASSERT_TRUE(eff_threads.ok()) << eff_threads.status().ToString();
+
+  GraphPtr graph = MakeChainGraph(0xF0ECEDCA5E5ULL);
+  CypherEngine oracle = Oracle(graph);
+  std::vector<Runtime> runtimes = AllRuntimes(graph);
 
   Rng rng{0xF02CEDBEEFULL};
   const int kCases = 160;
@@ -229,6 +238,90 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
     }
   }
   EXPECT_EQ(executed, kCases);
+}
+
+/// 240 :L nodes (every third also :M) with `k` = i % 10 — absent on
+/// every seventh node, a float on every eleventh — and `d`, which is 0
+/// on some nodes but never where k = 2; 40 unlabeled nodes with the
+/// same `k`; :R edges between :L nodes. Big enough that 4 workers split
+/// every scan into several morsels.
+GraphPtr MakePatternMapGraph() {
+  auto g = std::make_shared<PropertyGraph>();
+  std::vector<NodeId> ls;
+  for (int i = 0; i < 240; ++i) {
+    std::vector<std::string> labels = {"L"};
+    if (i % 3 == 0) labels.push_back("M");
+    PropertyList props;
+    const int k = i % 10;
+    if (i % 7 != 0) {
+      props.emplace_back("k", i % 11 == 0 ? Value::Float(k) : Value::Int(k));
+    }
+    props.emplace_back("d", Value::Int(k == 2 ? 1 : i % 4));
+    ls.push_back(g->CreateNode(labels, props));
+  }
+  for (int i = 0; i < 40; ++i) {
+    g->CreateNode({}, {{"k", Value::Int(i % 10)}});
+  }
+  for (int i = 0; i < 240; ++i) {
+    auto r = g->CreateRelationship(ls[i], ls[(i * 7 + 3) % 240], "R", {});
+    EXPECT_TRUE(r.ok());
+  }
+  return g;
+}
+
+TEST(ForcedPlans, PatternPredicatesInTheScanAgreeOnEveryExecutorLeg) {
+  // The anchor's labels and property map are tested by the scan on the
+  // record; every leg must keep the interpreter's rows — and its errors,
+  // which the map raises only when a candidate reaches the erroring key.
+  GraphPtr graph = MakePatternMapGraph();
+  CypherEngine oracle = Oracle(graph);
+  std::vector<Runtime> runtimes = AllRuntimes(graph);
+  struct Case {
+    const char* query;
+    ValueMap params;
+  };
+  const std::vector<Case> cases = {
+      {"MATCH (n:L {k: $p}) RETURN id(n) AS i", {{"p", Value::Int(2)}}},
+      {"MATCH (n:L {k: $p}) RETURN count(*) AS c", {{"p", Value::Null()}}},
+      {"MATCH (n:L {k: null}) RETURN count(*) AS c", {}},
+      {"MATCH (n:L {k: 2.0}) RETURN id(n) AS i", {}},
+      {"MATCH (n:L {k: 0}) RETURN id(n) AS i", {}},
+      {"MATCH (n:L {missing: 1}) RETURN count(*) AS c", {}},
+      {"MATCH (n:L:M {k: 1}) RETURN id(n) AS i", {}},
+      {"MATCH (n:M:L {k: 1, d: 1}) RETURN id(n) AS i", {}},
+      {"MATCH (n {k: 1}) RETURN id(n) AS i", {}},
+      {"UNWIND [1, 2] AS x MATCH (n:L {k: x}) RETURN x, id(n) AS i", {}},
+      {"MATCH (n:L {k: 4}) RETURN count(*) AS c, sum(n.d) AS s", {}},
+      {"MATCH (n:Missing {k: 1 / 0}) RETURN count(*) AS c", {}},
+      {"MATCH (n:L {k: 1 / 0}) RETURN count(*) AS c", {}},
+      {"MATCH (n:L {k: 100, d: 1 / 0}) RETURN count(*) AS c", {}},
+      {"MATCH (n:L {k: 2}) WHERE 1 / n.d > 0 RETURN n.k AS k", {}},
+      {"MATCH (n:L {k: n.d}) RETURN n.k AS k", {}},
+      {"MATCH (a:L {k: 3})-[:R]->(b:M {k: a.k % 5}) RETURN id(a), id(b)", {}},
+      {"MATCH (a:L)-[:R]->(b:M {k: a.d}) RETURN count(*) AS c", {}},
+  };
+  int errors = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    auto want = oracle.Execute(c.query, c.params);
+    if (!want.ok()) ++errors;
+    for (auto& rt : runtimes) {
+      auto got = rt.engine.Execute(c.query, c.params);
+      if (!want.ok()) {
+        ASSERT_FALSE(got.ok()) << rt.name << " returned rows:\n"
+                               << got->table.ToString();
+        EXPECT_EQ(got.status().ToString(), want.status().ToString()) << rt.name;
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << rt.name << ": " << got.status().ToString();
+      EXPECT_TRUE(want->table.SameBag(got->table))
+          << rt.name << " diverges\noracle:\n"
+          << want->table.ToString() << rt.name << ":\n"
+          << got->table.ToString();
+    }
+  }
+  // `{k: 1 / 0}` over a non-empty label and `{k: n.d}` raise.
+  EXPECT_EQ(errors, 2);
 }
 
 // ---- GQLITE_PLAN_MODE parsing ----------------------------------------------

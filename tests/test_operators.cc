@@ -35,7 +35,8 @@ class OperatorTest : public ::testing::Test {
 
   Table Drain(Operator* op, size_t batch_size = RowBatch::kDefaultCapacity) {
     EXPECT_TRUE(op->Open().ok());
-    auto t = DrainPlan(op, batch_size);
+    RowBatch batch(batch_size);
+    auto t = DrainPlan(op, &batch);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
     return t.ok() ? *t : Table();
   }
@@ -68,6 +69,83 @@ TEST_F(OperatorTest, NodeByLabelScan) {
   EXPECT_EQ(t.NumRows(), 2u);
   NodeByLabelScanOp none(Unit(), &ctx_, "n", "Zzz");
   EXPECT_EQ(Drain(&none).NumRows(), 0u);
+}
+
+/// The property map of the first node pattern of `query` (the parsed
+/// query must outlive the returned span).
+std::span<const PropertyEntry> StartMap(const ast::Query& query) {
+  const auto& m =
+      static_cast<const ast::MatchClause&>(*query.parts[0].clauses[0]);
+  return m.pattern.paths[0].start.properties;
+}
+
+TEST_F(OperatorTest, ScansTestThePatternOnTheRecord) {
+  auto q = ParseQuery("MATCH (n {v: 3}) RETURN n");
+  ASSERT_TRUE(q.ok());
+  NodeByLabelScanOp by_label(Unit(), &ctx_, "n", "B", {{}, StartMap(*q)});
+  Table t = Drain(&by_label);
+  ASSERT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.rows()[0][0].AsNode(), c_);
+  // Only survivors are rows: PROFILE counts 1, not the label's 2.
+  EXPECT_EQ(by_label.rows_produced(), 1);
+  EXPECT_EQ(by_label.Describe(), "NodeByLabelScan(n:B) {v}");
+
+  AllNodesScanOp labeled(Unit(), &ctx_, "n", {{"B"}, StartMap(*q)});
+  EXPECT_EQ(Drain(&labeled).NumRows(), 1u);
+  EXPECT_EQ(labeled.Describe(), "AllNodesScan(n) :B {v}");
+  AllNodesScanOp wrong_label(Unit(), &ctx_, "n", {{"A"}, StartMap(*q)});
+  EXPECT_EQ(Drain(&wrong_label).NumRows(), 0u);
+  AllNodesScanOp plain(Unit(), &ctx_, "n");
+  EXPECT_EQ(plain.Describe(), "AllNodesScan(n)");
+}
+
+TEST_F(OperatorTest, ScanEvaluatesWantedValuesLazily) {
+  // A key's value is evaluated at the first candidate that reaches it:
+  // behind a key no candidate matches, or over an empty label, `1 / 0`
+  // never runs; once a candidate reaches it, it raises.
+  auto behind = ParseQuery("MATCH (n {v: 100, w: 1 / 0}) RETURN n");
+  auto direct = ParseQuery("MATCH (n {w: 1 / 0}) RETURN n");
+  ASSERT_TRUE(behind.ok() && direct.ok());
+  NodeByLabelScanOp shielded(Unit(), &ctx_, "n", "B", {{}, StartMap(*behind)});
+  EXPECT_EQ(Drain(&shielded).NumRows(), 0u);
+  NodeByLabelScanOp empty(Unit(), &ctx_, "n", "Zzz", {{}, StartMap(*direct)});
+  EXPECT_EQ(Drain(&empty).NumRows(), 0u);
+  NodeByLabelScanOp raises(Unit(), &ctx_, "n", "B", {{}, StartMap(*direct)});
+  ASSERT_TRUE(raises.Open().ok());
+  RowBatch batch(RowBatch::kDefaultCapacity);
+  auto t = DrainPlan(&raises, &batch);
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.status().ToString().find("division by zero"),
+            std::string::npos)
+      << t.status().ToString();
+}
+
+TEST_F(OperatorTest, ScanReadsParametersAndDrivingRows) {
+  auto q = ParseQuery("MATCH (n {v: $want}) RETURN n");
+  ASSERT_TRUE(q.ok());
+  ValueMap params = {{"want", Value::Int(2)}};
+  ctx_.eval.parameters = &params;
+  NodeByLabelScanOp scan(Unit(), &ctx_, "n", "B", {{}, StartMap(*q)});
+  Table t = Drain(&scan);
+  ASSERT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.rows()[0][0].AsNode(), b_);
+  // A null want matches nothing (3VL: null = x is null, not true).
+  params["want"] = Value::Null();
+  ctx_.ResolveBindings();
+  EXPECT_EQ(Drain(&scan).NumRows(), 0u);
+
+  // Correlated: the want is re-evaluated per driving row of `x`.
+  auto c = ParseQuery("MATCH (n {v: x}) RETURN n");
+  ASSERT_TRUE(c.ok());
+  Table xs({"x"});
+  for (int64_t x : {3, 1, 2}) xs.AddRow({Value::Int(x)});
+  auto leaf = std::make_unique<ArgumentOp>(std::vector<std::string>{"x"}, &xs);
+  AllNodesScanOp correlated(std::move(leaf), &ctx_, "n", {{}, StartMap(*c)});
+  Table rows = Drain(&correlated, 1);
+  ASSERT_EQ(rows.NumRows(), 3u);
+  EXPECT_EQ(rows.rows()[0][1].AsNode(), c_);
+  EXPECT_EQ(rows.rows()[1][1].AsNode(), a_);
+  EXPECT_EQ(rows.rows()[2][1].AsNode(), b_);
 }
 
 TEST_F(OperatorTest, ExpandAllDirections) {

@@ -574,6 +574,32 @@ TEST(ParallelEngine, ProfileReportsWorkersAndMorsels) {
   EXPECT_NE(prof->find("morsels dispatched"), std::string::npos) << *prof;
 }
 
+TEST(ParallelEngine, ProfileCountsOnlyTheScansPatternSurvivors) {
+  // The scan tests the anchor's map on the record: its PROFILE row count
+  // is the survivors (60 of 600), summed over every worker's morsels.
+  auto g = std::make_shared<PropertyGraph>();
+  for (int i = 0; i < 600; ++i) {
+    g->CreateNode({"P"}, {{"k", Value::Int(i % 10)}});
+  }
+  for (size_t threads : {1u, 4u}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
+    CypherEngine engine(opts);
+    engine.set_default_graph(g);
+    for (const char* q : {"MATCH (n:P {k: 3}) RETURN n.k AS k",
+                          "MATCH (n:P {k: 3}) RETURN count(*) AS c"}) {
+      auto prof = engine.Profile(q);
+      ASSERT_TRUE(prof.ok()) << prof.status().ToString();
+      size_t at = prof->find("NodeByLabelScan(n:P) {k}");
+      ASSERT_NE(at, std::string::npos) << *prof;
+      std::string line = prof->substr(at, prof->find('\n', at) - at);
+      EXPECT_NE(line.find("(rows: 60,"), std::string::npos)
+          << threads << " threads: " << line;
+      EXPECT_EQ(prof->find("Filter"), std::string::npos) << *prof;
+    }
+  }
+}
+
 TEST(ParallelEngine, CachedParallelPlansReplanAfterGraphMutation) {
   EngineOptions opts;
   opts.num_threads = 2;

@@ -57,6 +57,11 @@ const char* kCorpus[] = {
     "MATCH (a) WITH count(*) AS n MATCH (b) RETURN n, count(*) AS m",
     "MATCH (a)-[r:T {w: 1}]->(b) RETURN count(*) AS c",
     "MATCH (a {v: 1})-[:T]->(b) RETURN id(b) ORDER BY id(b)",
+    // A map entry reading a node bound earlier in the path: the
+    // reference matcher has `a` when it checks `b`, whichever end the
+    // chain is anchored at.
+    "MATCH (a)-[:T]->(b:B {v: a.v}) RETURN id(a), id(b)",
+    "MATCH (a:A)-[:T]->(b:B {v: a.v % 3, x: a.v}) RETURN count(*) AS c",
     "MATCH p0 = (a)-[:T]->(b) RETURN count(*) AS c",  // fallback operator
     "MATCH (a) RETURN CASE WHEN a.v > 2 THEN 'hi' ELSE 'lo' END AS bucket, "
     "count(*) AS c ORDER BY bucket",
@@ -165,6 +170,51 @@ TEST(ParityDense, CliqueAndGrid) {
           << q << "\ninterp:\n" << reference->ToString() << "volcano:\n"
           << planned->ToString();
     }
+  }
+}
+
+/// Two :L nodes, {k: 1, d: 0} and {k: 2, d: 1}.
+GraphPtr TwoLNodes() {
+  auto g = std::make_shared<PropertyGraph>();
+  g->CreateNode({"L"}, {{"k", Value::Int(1)}, {"d", Value::Int(0)}});
+  g->CreateNode({"L"}, {{"k", Value::Int(2)}, {"d", Value::Int(1)}});
+  return g;
+}
+
+TEST(ParityPatternMap, MapIsCheckedWhenTheNodeIsBoundBeforeWhere) {
+  // The map is a condition on the node, checked when it is bound; WHERE
+  // sees only the node it keeps. Filtering WHERE first divides by the
+  // other node's d = 0.
+  GraphPtr g = TwoLNodes();
+  const char* q = "MATCH (n:L {k: 2}) WHERE 1 / n.d > 0 RETURN n.k";
+  auto reference = testutil::RunInterp(g, q);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->NumRows(), 1u);
+  EXPECT_EQ(reference->rows()[0][0].AsInt(), 2);
+  for (const PlanConfig& config : kConfigs) {
+    auto planned = RunVolcano(g, q, config);
+    ASSERT_TRUE(planned.ok())
+        << config.name << ": " << planned.status().ToString();
+    EXPECT_TRUE(reference->SameBag(*planned))
+        << config.name << "\n" << planned->ToString();
+  }
+}
+
+TEST(ParityPatternMap, MapCannotReadTheNodeItConstrains) {
+  // The map is evaluated before its own node is bound: `n.d` is an
+  // unbound variable on both runtimes, not a self-join.
+  GraphPtr g = TwoLNodes();
+  const char* q = "MATCH (n:L {k: n.d}) RETURN n.k";
+  auto reference = testutil::RunInterp(g, q);
+  ASSERT_FALSE(reference.ok()) << reference->ToString();
+  EXPECT_NE(reference.status().ToString().find("not bound"),
+            std::string::npos)
+      << reference.status().ToString();
+  for (const PlanConfig& config : kConfigs) {
+    auto planned = RunVolcano(g, q, config);
+    ASSERT_FALSE(planned.ok()) << config.name << "\n" << planned->ToString();
+    EXPECT_EQ(planned.status().ToString(), reference.status().ToString())
+        << config.name;
   }
 }
 

@@ -132,6 +132,27 @@ TEST(PlanShapes, EstimatesShrinkThroughSelectiveFilters) {
   EXPECT_NE(e->find("Filter"), std::string::npos) << *e;
 }
 
+TEST(PlanShapes, AnchorPatternMapMovesIntoTheScan) {
+  CypherEngine engine = MakeLopsidedEngine(EngineOptions{});
+  // The map is tested by the scan: no Filter, and the scan's estimate is
+  // the post-predicate one (60 :A x 1/NDV(id) = 60/62).
+  auto e = engine.Explain("MATCH (a:A {id: 3}) RETURN a.id");
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_NE(e->find("NodeByLabelScan(a:A) {id}  (est. rows: 1.0)"),
+            std::string::npos)
+      << *e;
+  EXPECT_EQ(e->find("Filter"), std::string::npos) << *e;
+  // An expand target keeps its map as a filter (forced left-to-right:
+  // the chain anchors at b).
+  EngineOptions ltr;
+  ltr.direction_policy = DirectionPolicy::kForceRight;
+  CypherEngine forced = MakeLopsidedEngine(ltr);
+  auto t = forced.Explain("MATCH (b:B)<-[:R]-(a:A {id: 1}) RETURN a.id");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_NE(t->find("NodeByLabelScan(b:B)  "), std::string::npos) << *t;
+  EXPECT_NE(t->find("Filter"), std::string::npos) << *t;
+}
+
 TEST(PlanShapes, VarLengthKeepsAdjacencyUnderForcedHashJoin) {
   // HashJoinExpand has no var-length form; the force must not break
   // var-length hops (they stay VarLengthExpand).
